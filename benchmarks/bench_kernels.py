@@ -2,9 +2,11 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the four hot kernels on identical workloads per backend and prints
-a table with the speedup.  Run after an editable install:
+a table with the speedup.  Build the extension in place, then run from the
+root of a checkout:
 
-    python benchmarks/bench_kernels.py [--seconds 0.5]
+    python setup.py build_ext --inplace
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--seconds 0.5]
 """
 
 import argparse
@@ -53,7 +55,7 @@ def main():
 
     backends = kernels.backends()
     if "compiled" not in backends:
-        print("compiled backend not available; build the extension first")
+        print("compiled backend not available; run python setup.py build_ext --inplace")
     names = list(backends)
     print(f"active dispatch backend: {kernels.BACKEND}")
     header = f"{'workload':34}" + "".join(f"{n + ' ops/s':>18}" for n in names)

@@ -1,26 +1,15 @@
-import os
-
 from setuptools import Extension, setup
 
-# The compiled kernels are an optimization, not a requirement: the package
-# falls back to pure-Python kernels when the extension is missing.  Set
-# PELLUCAS_NO_EXT=1 to skip the build entirely.
-ext_modules = []
-if not os.environ.get("PELLUCAS_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None:
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "pellucas._kernels_c",
-                    ["src/pellucas/_kernels_c.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# The compiled kernels are an optimization, not a requirement: without a C
+# compiler the build only warns, and the package runs on the pure-Python
+# kernels.
+setup(
+    ext_modules=[
+        Extension(
+            "pellucas._kernels_c",
+            ["src/pellucas/_kernels_c.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -44,7 +44,6 @@ from .lucas import (
 )
 from .modring import (
     Modulus,
-    Residue,
     gcd,
     is_composite,
     jacobi,
@@ -65,7 +64,6 @@ __all__ = [
     "LucasParams",
     "Modulus",
     "PellParams",
-    "Residue",
     "SearchReport",
     "SearchSpec",
     "Skip",

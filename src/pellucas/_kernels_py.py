@@ -34,8 +34,8 @@ def jacobi(a, n):
     return result if n == 1 else 0
 
 
-def _half(a, n):
-    # exact halving mod odd n
+def half(a, n):
+    """a / 2 mod odd n for 0 <= a < n; exact because 2 is invertible."""
     return a >> 1 if a % 2 == 0 else (a + n) >> 1
 
 
@@ -54,7 +54,7 @@ def lucas_uv(p, q, k, n):
         u, v = u * v % n, (v * v - 2 * qk) % n
         qk = qk * qk % n
         if bit == "1":
-            u, v = _half((p * u + v) % n, n), _half((d * u + p * v) % n, n)
+            u, v = half((p * u + v) % n, n), half((d * u + p * v) % n, n)
             qk = qk * q % n
     return u, v
 
@@ -151,7 +151,7 @@ def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):
                     va, vb = 2 % n, p
                     for k in range(k_max + 1):
                         checked += 1
-                        if xk != _half(va, n) or yk != ys * ua % n:
+                        if xk != half(va, n) or yk != ys * ua % n:
                             bad.append((xi, yi, d, k, n))
                             if len(bad) >= cap:
                                 return checked, bad

@@ -33,7 +33,7 @@ def lucas_to_pell(p, n):
     if p <= 0:
         raise ValueError(f"P must be positive, got {p}")
     n = as_modulus(n)
-    inv2 = int(mod_inverse(2, n))
+    inv2 = mod_inverse(2, n)
     return PellParams.from_point(p * p - 4, p * inv2 % n.n, inv2)
 
 
@@ -93,8 +93,7 @@ def check_closed_form(x, y, d, k, n):
     power = kernels.pell_pow(x, y, d, k, m)
     p, q = 2 * x, x * x - d * y * y
     u, v = kernels.lucas_uv(p, q, k, m)
-    half_v = v >> 1 if v % 2 == 0 else (v + m) >> 1
-    closed = (half_v, y * u % m)
+    closed = (kernels.half(v, m), y * u % m)
     return ClosedFormCheck(power == closed, power, closed)
 
 

@@ -19,6 +19,7 @@ from .bridge import from_pell, roundtrip
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .errors import DegenerateDError, NotOnConicError, ZeroPError
 from .fixtures import reproduce
+from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import Modulus
 from .search import SearchSpec, enumerate_range
@@ -76,6 +77,8 @@ def _witness_text(witnesses):
 
 
 def _parse_modulus(parser, n):
+    if n >= MR_DETERMINISTIC_BOUND:
+        parser.error(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
     try:
         return Modulus(n)
     except ValueError as err:

@@ -32,6 +32,9 @@ BACKEND = "compiled" if _c is not None else "pure"
 
 MR_DETERMINISTIC_BOUND = _py.MR_DETERMINISTIC_BOUND
 
+#: Exact halving mod odd n, for callers outside the kernels.
+half = _py.half
+
 # The compiled kernels hold residues in unsigned 64-bit words and add two
 # of them without widening, so the modulus must stay below 2**63.
 _C_LIMIT = 1 << 63
@@ -66,7 +69,7 @@ def pell_pow(x, y, d, e, n):
 
 def is_prime(n):
     """Deterministic primality; exact below MR_DETERMINISTIC_BOUND."""
-    if _c is not None and n < _C_LIMIT:
+    if _c is not None and 0 <= n < _C_LIMIT:
         return _c.is_prime(n)
     return _py.is_prime(n)
 

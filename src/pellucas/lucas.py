@@ -118,8 +118,7 @@ def strong_lucas_test(n, params):
     k = n.n - eps
     u, v = kernels.lucas_uv(params.p, params.q, k, n.n)
     # U_{k+1} = (P U_k + V_k) / 2; the modulus is odd, so halving is exact.
-    t = (params.p * u + v) % n.n
-    u_next = t >> 1 if t % 2 == 0 else (t + n.n) >> 1
+    u_next = kernels.half((params.p * u + v) % n.n, n.n)
     witnesses = {"u": u, "u_next": u_next, "k": k}
     if not is_composite(n.n):
         return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)

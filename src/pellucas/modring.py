@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt  # noqa: F401  (gcd is part of the public API)
 
 from . import kernels
-from .errors import MixedContextError, NotInvertibleError
+from .errors import NotInvertibleError
 
 
 @dataclass(frozen=True)
@@ -27,74 +27,14 @@ class Modulus:
     def __int__(self):
         return self.n
 
-    def residue(self, value):
-        return Residue(value % self.n, self)
-
 
 def as_modulus(n):
     """Accept an int or a Modulus, validating ints on the way in."""
     return n if isinstance(n, Modulus) else Modulus(n)
 
 
-@dataclass(frozen=True)
-class Residue:
-    """A value reduced into [0, n) against its owning modulus."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.n)
-
-    def __int__(self):
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, Residue):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.n))
-
-    def _coerce(self, other, op):
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise MixedContextError(
-                    f"cannot {op} residues mod {self.modulus.n} and mod {other.modulus.n}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other, "add")
-        return NotImplemented if v is None else Residue(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other, "subtract")
-        return NotImplemented if v is None else Residue(self.value - v, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other, "multiply")
-        return NotImplemented if v is None else Residue(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self):
-        return mod_inverse(self.value, self.modulus)
-
-
 def mod_inverse(a, n):
-    """Residue r with a * r = 1 mod n.
+    """The int r in [0, n) with a * r = 1 mod n.
 
     Raises ``NotInvertibleError`` carrying gcd(a, n) when no inverse
     exists; that gcd may be a nontrivial factor of n.
@@ -103,7 +43,7 @@ def mod_inverse(a, n):
     g = gcd(a, n.n)
     if g != 1:
         raise NotInvertibleError(a, n.n, g)
-    return Residue(pow(a, -1, n.n), n)
+    return pow(a, -1, n.n)
 
 
 def jacobi(a, n):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .conic import PellParams, pell_test, strong_pell_test
+from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .verdict import Status
 
@@ -41,6 +42,10 @@ class SearchSpec:
             raise ValueError(f"range must start at 3 or above, got {self.lo}")
         if self.hi < self.lo:
             raise ValueError(f"empty range [{self.lo}, {self.hi}]")
+        if self.hi >= MR_DETERMINISTIC_BOUND:
+            raise ValueError(
+                f"range must end below the deterministic primality bound {MR_DETERMINISTIC_BOUND}"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pellucas import cli, fixtures
+from pellucas import cli, fixtures, kernels
 
 
 def run(capsys, *argv):
@@ -52,6 +52,22 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "enumerate", "lucas", "--p", "3", "--from", "5", "--to", "3")[0] == 2
     assert run(capsys, "bridge", "21", "--from-lucas", "--p", "2")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # at or above the Miller-Rabin bound no verdict is deterministic
+    bound = kernels.MR_DETERMINISTIC_BOUND
+    above = [
+        ["lucas-test", str(bound + 2), "--p", "3"],
+        ["pell-test", str(bound + 2), "--d", "5", "--a", "3"],
+        ["bridge", str(bound + 2), "--from-lucas", "--p", "3"],
+    ] + [
+        ["enumerate", "lucas", "--p", "3", "--from", str(bound), "--to", str(bound + 18),
+         "--workers", workers]
+        for workers in ("1", "2")
+    ]
+    for argv in above:
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "deterministic primality bound" in captured.err
 
 
 def test_pell_test_variants(capsys):

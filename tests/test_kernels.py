@@ -8,10 +8,15 @@ from pellucas import kernels
 
 BACKENDS = kernels.backends()
 PAIRED = pytest.mark.skipif(
-    "compiled" not in BACKENDS, reason="compiled backend not built"
+    "compiled" not in BACKENDS,
+    reason="compiled backend not built; run python setup.py build_ext --inplace",
 )
 
 rng = random.Random(20240817)
+
+# The compiled kernels add two residues without widening, which is exact only
+# for n < 2**63; these moduli sit just below that edge.
+EDGE_MODULI = [2**63 - 1, 2**63 - 25]
 
 
 def _random_cases(count, n_bits):
@@ -21,9 +26,11 @@ def _random_cases(count, n_bits):
 @PAIRED
 def test_jacobi_parity():
     pure, fast = BACKENDS["pure"], BACKENDS["compiled"]
-    for n in _random_cases(200, 40) + [3, 9, 21, 85, 2**62 + 1]:
+    for n in _random_cases(200, 40) + [3, 9, 21, 85, 2**62 + 1] + EDGE_MODULI:
         for _ in range(20):
             a = rng.randrange(n)
+            assert pure.jacobi(a, n) == fast.jacobi(a, n)
+        for a in range(n - 3, n):
             assert pure.jacobi(a, n) == fast.jacobi(a, n)
 
 
@@ -35,6 +42,10 @@ def test_lucas_uv_parity():
         q = rng.randrange(n)
         k = rng.randrange(1 << 40)
         assert pure.lucas_uv(p, q, k, n) == fast.lucas_uv(p, q, k, n)
+    for n in EDGE_MODULI:
+        for p, q in ((n - 1, n - 2), (n - 2, 1), (3, n - 1)):
+            for k in (n - 1, n, (1 << 62) + 1, (1 << 64) - 1, rng.randrange(1 << 62)):
+                assert pure.lucas_uv(p, q, k, n) == fast.lucas_uv(p, q, k, n)
     assert pure.lucas_uv(3, 1, 0, 21) == fast.lucas_uv(3, 1, 0, 21) == (0, 2)
 
 
@@ -45,6 +56,10 @@ def test_pell_pow_parity():
         x, y, d = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         e = rng.randrange(1 << 40)
         assert pure.pell_pow(x, y, d, e, n) == fast.pell_pow(x, y, d, e, n)
+    for n in EDGE_MODULI:
+        for x, y, d in ((n - 1, n - 1, n - 1), (n - 2, n - 3, 5), (n - 1, 1, n - 2)):
+            for e in (n - 1, n + 1, (1 << 64) - 1, rng.randrange(1 << 62)):
+                assert pure.pell_pow(x, y, d, e, n) == fast.pell_pow(x, y, d, e, n)
 
 
 @PAIRED
@@ -55,7 +70,7 @@ def test_is_prime_parity():
     # straddle the trial-division/battery switch at 2**32
     for n in range(2**32 - 20, 2**32 + 20):
         assert pure.is_prime(n) == fast.is_prime(n)
-    for n in _random_cases(50, 60):
+    for n in _random_cases(50, 60) + list(range(2**63 - 60, 2**63)):
         assert pure.is_prime(n) == fast.is_prime(n)
 
 
@@ -76,6 +91,16 @@ def test_dispatcher_handles_huge_moduli():
     # (2 + sqrt(3))^5 = 362 + 209 sqrt(3)
     assert (x, y) == (362, 209)
     assert kernels.jacobi(4, n) == 1
+    # on both sides of the compiled limit the dispatcher matches the reference
+    pure = BACKENDS["pure"]
+    for n in (kernels._C_LIMIT - 1, kernels._C_LIMIT + 1):
+        p, q, x, y, d = n - 1, n - 2, n - 1, n - 3, n - 1
+        for k in (n - 1, n + 1):
+            assert kernels.lucas_uv(p, q, k, n) == pure.lucas_uv(p, q, k, n)
+            assert kernels.pell_pow(x, y, d, k, n) == pure.pell_pow(x, y, d, k, n)
+        assert kernels.jacobi(n - 2, n) == pure.jacobi(n - 2, n)
+        assert kernels.is_prime(n) == pure.is_prime(n)
+    assert kernels.is_prime(-5) is pure.is_prime(-5) is False
 
 
 def test_dispatcher_reduces_inputs():

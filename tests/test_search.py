@@ -12,6 +12,7 @@ from pellucas import (
     reproduce,
 )
 from pellucas.fixtures import parse_fixtures, run_fixture
+from pellucas.kernels import MR_DETERMINISTIC_BOUND
 
 
 def trial_division_composite(n):
@@ -31,6 +32,9 @@ def test_spec_validation():
         SearchSpec("other", params, 3, 100)
     with pytest.raises(ValueError):
         SearchSpec("pell", params, 3, 100)  # wrong params type
+    with pytest.raises(ValueError):
+        SearchSpec("lucas", params, 3, MR_DETERMINISTIC_BOUND)  # answer not deterministic
+    SearchSpec("lucas", params, 3, MR_DETERMINISTIC_BOUND - 1)
 
 
 def test_lucas_enumeration_small():
