@@ -42,14 +42,7 @@ from .lucas import (
     selfridge_params,
     strong_lucas_test,
 )
-from .modring import (
-    Modulus,
-    gcd,
-    is_composite,
-    jacobi,
-    mod_inverse,
-    smallest_factor,
-)
+from .modring import Modulus, gcd, is_composite, jacobi, mod_inverse
 from .search import SearchReport, SearchSpec, Skip, enumerate_range
 from .verdict import Status, TestVerdict
 
@@ -93,7 +86,6 @@ __all__ = [
     "reproduce",
     "roundtrip",
     "selfridge_params",
-    "smallest_factor",
     "strong_lucas_test",
     "strong_pell_test",
 ]

@@ -18,7 +18,7 @@ from . import __version__
 from .bridge import from_pell, roundtrip
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .errors import DegenerateDError, NotOnConicError, ZeroPError
-from .fixtures import reproduce
+from .fixtures import KINDS, reproduce
 from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import Modulus
@@ -85,28 +85,23 @@ def _parse_modulus(parser, n):
         parser.error(str(err))
 
 
-def _pell_params(parser, args):
-    explicit = args.x is not None or args.y is not None
-    if explicit and args.a is not None:
-        parser.error("give either --x/--y or --a, not both")
-    if explicit and (args.x is None or args.y is None):
-        parser.error("--x and --y must be given together")
-    if not explicit and args.a is None:
-        parser.error("a point (--x --y) or a seed (--a) is required")
+def _lucas_params(parser, args):
     try:
-        if explicit:
-            return PellParams.from_point(args.d, args.x, args.y)
-        return PellParams.from_seed(args.d, args.a)
+        return LucasParams(args.p, args.q)
+    except ValueError as err:
+        parser.error(str(err))
+
+
+def _pell_params(parser, args):
+    try:
+        return PellParams(args.d, x=args.x, y=args.y, a=args.a)
     except ValueError as err:
         parser.error(str(err))
 
 
 def cmd_lucas_test(parser, args):
     n = _parse_modulus(parser, args.n)
-    try:
-        params = LucasParams(args.p, args.q)
-    except ValueError as err:
-        parser.error(str(err))
+    params = _lucas_params(parser, args)
     test = strong_lucas_test if args.strong else lucas_test
     verdict = test(n, params)
     rec = _record(
@@ -154,10 +149,7 @@ def cmd_enumerate(parser, args):
     if args.kind == "lucas":
         if args.p is None:
             parser.error("lucas enumeration needs --p (and optionally --q)")
-        try:
-            params = LucasParams(args.p, args.q)
-        except ValueError as err:
-            parser.error(str(err))
+        params = _lucas_params(parser, args)
         shown = {"p": args.p, "q": args.q}
     else:
         if args.d is None:
@@ -343,11 +335,7 @@ def build_parser():
     bridge.set_defaults(func=cmd_bridge)
 
     repro = commands.add_parser("reproduce", help="check the bundled golden fixtures")
-    repro.add_argument(
-        "--only",
-        choices=("lucas", "pell", "pell-membership", "lucas-value", "pell-value"),
-        help="restrict to one fixture kind",
-    )
+    repro.add_argument("--only", choices=KINDS, help="restrict to one fixture kind")
     repro.add_argument("--workers", type=int, default=None)
     _add_format(repro)
     repro.set_defaults(func=cmd_reproduce)

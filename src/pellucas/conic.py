@@ -18,17 +18,15 @@ from .errors import (
     NotOnConicError,
     PhiUndefinedError,
 )
-from .modring import Modulus, as_modulus, is_composite, jacobi
+from .modring import Modulus, as_modulus, is_composite
 from .verdict import (
-    REASON_FAILS,
     REASON_GCD,
-    REASON_HOLDS,
     REASON_JACOBI_ZERO,
     REASON_NOT_ON_CONIC,
     REASON_PHI_UNDEFINED,
-    REASON_PRIME,
     Status,
     TestVerdict,
+    classify,
 )
 
 
@@ -164,23 +162,19 @@ def _pell_verdict(n, params, strong):
         )
     except NotOnConicError:
         return TestVerdict(Status.NOT_APPLICABLE, REASON_NOT_ON_CONIC, {})
-    g = gcd(n.n, point.y)
+    m = n.n
+    g = gcd(m, point.y)
     if g > 1:
         return TestVerdict(Status.NOT_APPLICABLE, REASON_GCD, {"gcd": g})
-    eps = jacobi(params.d, n)
+    eps = kernels.jacobi(params.d, m)
     if eps == 0:
         return TestVerdict(
-            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": gcd(params.d, n.n)}
+            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": gcd(params.d, m)}
         )
-    k = n.n - eps
-    xk, yk = kernels.pell_pow(point.x, point.y, point.d, k, n.n)
-    witnesses = {"x": xk, "y": yk, "k": k}
-    if not is_composite(n.n):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
+    k = m - eps
+    xk, yk = kernels.pell_pow(point.x, point.y, point.d, k, m)
     passed = (xk == 1 and yk == 0) if strong else yk == 0
-    if passed:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+    return classify(m, passed, {"x": xk, "y": yk, "k": k})
 
 
 def pell_test(n, params):

@@ -3,29 +3,18 @@
 The compiled extension (``_kernels_c``) is used automatically when it is
 importable and the operands fit its 64-bit arithmetic; everything else
 runs on the pure-Python backend (``_kernels_py``), which is exact at any
-size.  Set ``PELLUCAS_BACKEND=pure`` or ``=compiled`` to force a choice
-(``compiled`` raises at import if the extension is unavailable).
+size.  ``backends()`` reaches either backend directly.
 
 Callers pass plain integers; parameters are reduced mod n here so both
 backends see residues in ``[0, n)``.
 """
 
-import os
-
 from . import _kernels_py as _py
 
-_choice = os.environ.get("PELLUCAS_BACKEND", "auto")
-if _choice not in ("auto", "pure", "compiled"):
-    raise ValueError(f"PELLUCAS_BACKEND must be auto, pure or compiled, got {_choice!r}")
-
-_c = None
-if _choice != "pure":
-    try:
-        from . import _kernels_c as _c
-    except ImportError:
-        if _choice == "compiled":
-            raise
-        _c = None
+try:
+    from . import _kernels_c as _c
+except ImportError:
+    _c = None
 
 #: Name of the backend picked at import ("compiled" or "pure").
 BACKEND = "compiled" if _c is not None else "pure"

@@ -11,16 +11,8 @@ from math import gcd, isqrt
 
 from . import kernels
 from .errors import PerfectSquareError, SharedFactorError
-from .modring import Modulus, as_modulus, is_composite, jacobi
-from .verdict import (
-    REASON_FAILS,
-    REASON_GCD,
-    REASON_HOLDS,
-    REASON_JACOBI_ZERO,
-    REASON_PRIME,
-    Status,
-    TestVerdict,
-)
+from .modring import Modulus, as_modulus, jacobi
+from .verdict import REASON_GCD, REASON_JACOBI_ZERO, Status, TestVerdict, classify
 
 
 @dataclass(frozen=True)
@@ -69,18 +61,23 @@ def lucas_uv_mod(params, k, n):
     return LucasPair(u, v, k, n)
 
 
-def _applicability(params, n):
-    """Shared hypothesis gate; returns (epsilon, verdict-or-None)."""
-    eps = jacobi(params.d, n)
+def _lucas_verdict(n, params, strong):
+    m = as_modulus(n).n
+    eps = kernels.jacobi(params.d, m)
     if eps == 0:
-        g = gcd(params.d, n.n)
-        return 0, TestVerdict(
-            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": g}
+        return TestVerdict(
+            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": gcd(params.d, m)}
         )
-    g = gcd(n.n, params.q)
+    g = gcd(m, params.q)
     if g > 1:
-        return eps, TestVerdict(Status.NOT_APPLICABLE, REASON_GCD, {"gcd": g})
-    return eps, None
+        return TestVerdict(Status.NOT_APPLICABLE, REASON_GCD, {"gcd": g})
+    k = m - eps
+    u, v = kernels.lucas_uv(params.p, params.q, k, m)
+    if not strong:
+        return classify(m, u == 0, {"u": u, "k": k})
+    # U_{k+1} = (P U_k + V_k) / 2; the modulus is odd, so halving is exact.
+    u_next = kernels.half((params.p * u + v) % m, m)
+    return classify(m, u == 0 and u_next == 1, {"u": u, "u_next": u_next, "k": k})
 
 
 def lucas_test(n, params):
@@ -91,18 +88,7 @@ def lucas_test(n, params):
     when the congruence holds.  A zero Jacobi symbol or gcd(n, Q) > 1
     yields NotApplicable with the gcd as witness.
     """
-    n = as_modulus(n)
-    eps, gate = _applicability(params, n)
-    if gate is not None:
-        return gate
-    k = n.n - eps
-    u, _ = kernels.lucas_uv(params.p, params.q, k, n.n)
-    witnesses = {"u": u, "k": k}
-    if not is_composite(n.n):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
-    if u == 0:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+    return _lucas_verdict(n, params, strong=False)
 
 
 def strong_lucas_test(n, params):
@@ -111,20 +97,7 @@ def strong_lucas_test(n, params):
     Equivalent to the full identity point on the conic side.  Both U
     values are always reported.
     """
-    n = as_modulus(n)
-    eps, gate = _applicability(params, n)
-    if gate is not None:
-        return gate
-    k = n.n - eps
-    u, v = kernels.lucas_uv(params.p, params.q, k, n.n)
-    # U_{k+1} = (P U_k + V_k) / 2; the modulus is odd, so halving is exact.
-    u_next = kernels.half((params.p * u + v) % n.n, n.n)
-    witnesses = {"u": u, "u_next": u_next, "k": k}
-    if not is_composite(n.n):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
-    if u == 0 and u_next == 1:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+    return _lucas_verdict(n, params, strong=True)
 
 
 def selfridge_params(n):
@@ -157,12 +130,7 @@ def oeis_variant_test(n):
 
     Composites passing this are OEIS A099011; 169 is the first.
     """
-    n = as_modulus(n)
-    u, _ = kernels.lucas_uv(2, -1, n.n, n.n)
-    target = jacobi(2, n) % n.n
-    witnesses = {"u": u, "target": target}
-    if not is_composite(n.n):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
-    if u == target:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+    m = as_modulus(n).n
+    u, _ = kernels.lucas_uv(2, -1, m, m)
+    target = kernels.jacobi(2, m) % m
+    return classify(m, u == target, {"u": u, "target": target})

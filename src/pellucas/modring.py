@@ -1,12 +1,13 @@
 """Exact modular arithmetic primitives shared by every test.
 
-The residue ring is always Z_n for an odd modulus n >= 3; evenness and
-tiny moduli are rejected once, at ``Modulus`` construction, so the
-arithmetic itself never has to re-validate.
+The residue ring is always Z_n for an odd modulus n >= 3.  Evenness and
+tiny moduli are rejected once per public call, when ``as_modulus`` turns
+an int into a ``Modulus``; a ``Modulus`` passes through it unchecked, and
+the kernels get the plain int ``n.n``, so nothing below re-validates.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt  # noqa: F401  (gcd is part of the public API)
+from math import gcd  # noqa: F401  (gcd is part of the public API)
 
 from . import kernels
 from .errors import NotInvertibleError
@@ -49,13 +50,9 @@ def mod_inverse(a, n):
 def jacobi(a, n):
     """Jacobi symbol (a / n) in {-1, 0, +1}; zero iff gcd(a, n) > 1.
 
-    Negative a is handled through (-1 / n) = (-1)^((n-1)/2).
+    Any integer a is accepted: the symbol depends only on a mod n.
     """
-    n = as_modulus(n)
-    if a < 0:
-        sign = -1 if n.n % 4 == 3 else 1
-        return sign * kernels.jacobi(-a % n.n, n.n)
-    return kernels.jacobi(a % n.n, n.n)
+    return kernels.jacobi(a, as_modulus(n).n)
 
 
 def is_composite(n):
@@ -73,23 +70,3 @@ def is_composite(n):
             f"n exceeds the deterministic primality bound {kernels.MR_DETERMINISTIC_BOUND}"
         )
     return not kernels.is_prime(n)
-
-
-def smallest_factor(n):
-    """Least prime factor of n by trial division, or None if n is prime.
-
-    Intended as the optional witness companion to ``is_composite``; only
-    factors up to min(sqrt(n), 2**16) are searched, so a large composite
-    with no small factor also returns None.
-    """
-    if n < 2:
-        raise ValueError(f"expected n >= 2, got {n}")
-    if n % 2 == 0:
-        return 2 if n > 2 else None
-    i = 3
-    limit = min(isqrt(n), 1 << 16)
-    while i <= limit:
-        if n % i == 0:
-            return i
-        i += 2
-    return None

@@ -70,23 +70,22 @@ class SearchReport:
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _verdict_for(spec, n):
+def _scan_block(spec, lo, hi):
+    """Test every odd n in [lo, hi]; returns (hits, skips, counts)."""
     if spec.kind == "lucas":
         test = strong_lucas_test if spec.strong else lucas_test
     else:
         test = strong_pell_test if spec.strong else pell_test
-    return test(n, spec.params)
-
-
-def _scan_block(spec, lo, hi):
-    """Test every odd n in [lo, hi]; returns (hits, skips, counts)."""
+    params = spec.params
     hits = []
     skips = []
     counts = {s.value: 0 for s in Status}
     start = lo if lo % 2 else lo + 1
     for n in range(start, hi + 1, 2):
-        verdict = _verdict_for(spec, n)
-        counts[verdict.status.value] += 1
+        verdict = test(n, params)
+        # a str-enum member hashes and compares as its value, so it finds
+        # the value's key without the slow Status.value property lookup
+        counts[verdict.status] += 1
         if verdict.status is Status.PSEUDOPRIME:
             hits.append(n)
         elif verdict.status is Status.NOT_APPLICABLE:

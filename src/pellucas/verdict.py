@@ -3,6 +3,8 @@
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .modring import is_composite
+
 
 class Status(str, Enum):
     PRIME = "Prime"
@@ -44,3 +46,16 @@ class TestVerdict:
             "reason": self.reason,
             "witnesses": dict(self.witnesses),
         }
+
+
+def classify(n, passed, witnesses):
+    """Verdict of a test that ran on the plain int n.
+
+    A prime n is Prime whatever ``passed`` says; a composite n is a
+    Pseudoprime exactly when its congruence ``passed``.
+    """
+    if not is_composite(n):
+        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
+    if passed:
+        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
+    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)

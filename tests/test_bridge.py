@@ -115,6 +115,11 @@ def test_closed_form_sweep_small():
     checked, bad = closed_form_sweep(8, 8, 4, 16, 3, 41)
     assert checked == 9 * 9 * 8 * 17 * 20
     assert bad == []
+    # below 3 the identity x = 1 is unreduced mod 1: rejected, not mismatched
+    with pytest.raises(ValueError, match="odd and >= 3"):
+        closed_form_sweep(1, 1, 1, 2, 1, 3)
+    with pytest.raises(ValueError, match="odd and >= 3"):
+        closed_form_sweep(1, 1, 1, 2, -3, 3)
 
 
 def test_roundtrip_reports():

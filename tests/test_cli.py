@@ -43,6 +43,30 @@ def test_lucas_test_prime(capsys):
     assert jsonl_records(out)[0]["status"] == "Prime"
 
 
+def test_single_test_jsonl_bytes(capsys):
+    # exact lines, so witness and key order are pinned as well as values
+    cases = [
+        (["lucas-test", "21", "--p", "3"],
+         '{"schema": 1, "command": "lucas-test", "n": 21, "p": 3, "q": 1, "strong": false, '
+         '"status": "Pseudoprime", "reason": "congruence-holds", '
+         '"witnesses": {"u": 0, "k": 20}}'),
+        (["lucas-test", "323", "--p", "3", "--strong"],
+         '{"schema": 1, "command": "lucas-test", "n": 323, "p": 3, "q": 1, "strong": true, '
+         '"status": "Pseudoprime", "reason": "congruence-holds", '
+         '"witnesses": {"u": 0, "u_next": 1, "k": 324}}'),
+        (["pell-test", "85", "--d", "3", "--a", "4", "--strong"],
+         '{"schema": 1, "command": "pell-test", "n": 85, "d": 3, "a": 4, "strong": true, '
+         '"status": "Pseudoprime", "reason": "congruence-holds", '
+         '"witnesses": {"x": 1, "y": 0, "k": 84}}'),
+        (["pell-test", "21", "--d", "5", "--x", "163", "--y", "162"],
+         '{"schema": 1, "command": "pell-test", "n": 21, "d": 5, "x": 163, "y": 162, '
+         '"strong": false, "status": "NotApplicable", "reason": "point-not-on-conic", '
+         '"witnesses": {}}'),
+    ]
+    for argv, line in cases:
+        assert run(capsys, *argv, "--format", "jsonl") == (0, line + "\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "lucas-test", "20", "--p", "3")[0] == 2  # even n
     assert run(capsys, "lucas-test", "21", "--p", "2", "--q", "1")[0] == 2  # D = 0

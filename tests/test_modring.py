@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from pellucas import (
-    Modulus,
-    gcd,
-    is_composite,
-    jacobi,
-    mod_inverse,
-    smallest_factor,
-)
+from pellucas import Modulus, gcd, is_composite, jacobi, mod_inverse
 from pellucas.errors import NotInvertibleError
 
 rng = random.Random(0xC0FFEE)
@@ -123,11 +116,3 @@ def test_is_composite_known_values():
         is_composite(1)
     with pytest.raises(ValueError):
         is_composite(10**25)  # beyond the deterministic bound
-
-
-def test_smallest_factor():
-    assert smallest_factor(323) == 17
-    assert smallest_factor(21) == 3
-    assert smallest_factor(13) is None
-    assert smallest_factor(4) == 2
-
