@@ -14,7 +14,6 @@ from .bridge import (
     BridgeReport,
     ClosedFormCheck,
     check_closed_form,
-    closed_form_sweep,
     from_pell,
     lucas_to_pell,
     lucas_to_phi_params,
@@ -33,6 +32,7 @@ from .conic import (
     strong_pell_test,
 )
 from .fixtures import Fixture, FixtureResult, load_fixtures, reproduce
+from .kernels import closed_form_sweep
 from .lucas import (
     LucasPair,
     LucasParams,

@@ -22,6 +22,9 @@ typedef unsigned __int128 u128;
 #define AS_U64 PyLong_AsUnsignedLongLong
 #endif
 
+/* Strong-probable-prime bases: {2, 7, 61} decide every n < 2**32
+ * (Jaeschke 1993), all twelve every n < 3317044064679887385961981. */
+static const u64 MR_BASES_32[3] = {2, 7, 61};
 static const u64 MR_BASES[12] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
 
 static inline u64
@@ -89,14 +92,11 @@ pair(u64 a, u64 b)
     return t;
 }
 
-static PyObject *
-jacobi(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static int
+jacobi_u64(u64 a, u64 n)
 {
-    u64 v[2], t;
+    u64 t;
     int result = 1;
-    if (args_u64("jacobi", args, nargs, 2, v) < 0)
-        return NULL;
-    u64 a = v[0], n = v[1];
     while (a) {
         while ((a & 1) == 0) {
             a >>= 1;
@@ -111,18 +111,22 @@ jacobi(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             result = -result;
         a %= n;
     }
-    return PyLong_FromLong(n == 1 ? result : 0);
+    return n == 1 ? result : 0;
 }
 
 static PyObject *
-lucas_uv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+jacobi(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    u64 v4[4];
-    if (args_u64("lucas_uv", args, nargs, 4, v4) < 0 || !nonzero_modulus(v4[3]))
+    u64 v[2];
+    if (args_u64("jacobi", args, nargs, 2, v) < 0)
         return NULL;
-    u64 p = v4[0], q = v4[1], k = v4[2], n = v4[3];
-    if (k == 0)
-        return pair(0, 2 % n);
+    return PyLong_FromLong(jacobi_u64(v[0], v[1]));
+}
+
+/* (U_k, V_k) mod n by fast doubling, for p, q < n and k >= 1. */
+static void
+lucas_core(u64 p, u64 q, u64 k, u64 n, u64 *u_out, u64 *v_out)
+{
     u64 u = 1, v = p, qk = q;
     u64 d = submod(mulmod(p, p, n), mulmod(4 % n, q, n), n);
     u64 bit = (u64)1 << 63;
@@ -141,6 +145,20 @@ lucas_uv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             v = v2;
         }
     }
+    *u_out = u;
+    *v_out = v;
+}
+
+static PyObject *
+lucas_uv(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 v4[4], u, v;
+    if (args_u64("lucas_uv", args, nargs, 4, v4) < 0 || !nonzero_modulus(v4[3]))
+        return NULL;
+    u64 p = v4[0], q = v4[1], k = v4[2], n = v4[3];
+    if (k == 0)
+        return pair(0, 2 % n);
+    lucas_core(p, q, k, n, &u, &v);
     return pair(u, v);
 }
 
@@ -183,19 +201,6 @@ powmod(u64 b, u64 e, u64 n)
 }
 
 static int
-trial_division_prime(u64 n)
-{
-    if (n % 2 == 0)
-        return n == 2;
-    if (n % 3 == 0)
-        return n == 3;
-    for (u64 i = 5; i * i <= n; i += 6)
-        if (n % i == 0 || n % (i + 2) == 0)
-            return 0;
-    return 1;
-}
-
-static int
 mr_witness(u64 a, u64 d, int s, u64 n)
 {
     u64 x = powmod(a, d, n);
@@ -209,29 +214,226 @@ mr_witness(u64 a, u64 d, int s, u64 n)
     return 1;
 }
 
-static PyObject *
-is_prime(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+static int
+is_prime_u64(u64 n)
 {
-    u64 n;
-    if (args_u64("is_prime", args, nargs, 1, &n) < 0)
-        return NULL;
     if (n < 2)
-        Py_RETURN_FALSE;
-    if (n < ((u64)1 << 32))
-        return PyBool_FromLong(trial_division_prime(n));
-    for (int j = 0; j < 12; j++)
-        if (n % MR_BASES[j] == 0)
-            Py_RETURN_FALSE;
+        return 0;
+    const u64 *bases = n < ((u64)1 << 32) ? MR_BASES_32 : MR_BASES;
+    int count = n < ((u64)1 << 32) ? 3 : 12;
+    for (int j = 0; j < count; j++)
+        if (n % bases[j] == 0)
+            return n == bases[j];
     u64 d = n - 1;
     int s = 0;
     while ((d & 1) == 0) {
         d >>= 1;
         s++;
     }
-    for (int j = 0; j < 12; j++)
-        if (mr_witness(MR_BASES[j], d, s, n))
-            Py_RETURN_FALSE;
-    Py_RETURN_TRUE;
+    for (int j = 0; j < count; j++)
+        if (mr_witness(bases[j], d, s, n))
+            return 0;
+    return 1;
+}
+
+static PyObject *
+is_prime(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 n;
+    if (args_u64("is_prime", args, nargs, 1, &n) < 0)
+        return NULL;
+    return PyBool_FromLong(is_prime_u64(n));
+}
+
+static u64
+gcd_u64(u64 a, u64 b)
+{
+    while (b) {
+        u64 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/* t^-1 mod n for gcd(t, n) = 1, by the extended Euclidean algorithm; the
+ * Bezout coefficients stay below n < 2**63 in absolute value. */
+static u64
+invmod(u64 t, u64 n)
+{
+    int64_t r0 = (int64_t)n, r1 = (int64_t)t, s0 = 0, s1 = 1, q, tmp;
+    while (r1) {
+        q = r0 / r1;
+        tmp = r0 - q * r1;
+        r0 = r1;
+        r1 = tmp;
+        tmp = s0 - q * s1;
+        s0 = s1;
+        s1 = tmp;
+    }
+    return s0 < 0 ? (u64)(s0 + (int64_t)n) : (u64)s0;
+}
+
+/* v mod n for a signed v and 0 < n < 2**63 */
+static inline u64
+reduce(long long v, u64 n)
+{
+    long long r = v % (long long)n;
+    return r < 0 ? (u64)(r + (long long)n) : (u64)r;
+}
+
+enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC };
+
+/* Append (n, code, factor) to skips; factor 0 stands for None. */
+static int
+add_skip(PyObject *skips, u64 n, int code, u64 factor)
+{
+    PyObject *row = factor ? Py_BuildValue("(KiK)", n, code, factor)
+                           : Py_BuildValue("(KiO)", n, code, Py_None);
+    int rc = row ? PyList_Append(skips, row) : -1;
+    Py_XDECREF(row);
+    return rc;
+}
+
+static PyObject *
+scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    enum { LUCAS, SEED, POINT } kind;
+    long long par[3];
+    u64 lo, hi;
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError, "scan() takes 5 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (PyUnicode_CompareWithASCIIString(args[0], "lucas") == 0)
+        kind = LUCAS;
+    else if (PyUnicode_CompareWithASCIIString(args[0], "seed") == 0)
+        kind = SEED;
+    else if (PyUnicode_CompareWithASCIIString(args[0], "point") == 0)
+        kind = POINT;
+    else {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "kind must be 'lucas', 'seed' or 'point'");
+        return NULL;
+    }
+    int strong = PyObject_IsTrue(args[1]);
+    if (strong < 0)
+        return NULL;
+    Py_ssize_t want = kind == POINT ? 3 : 2;
+    if (!PyTuple_Check(args[2]) || PyTuple_GET_SIZE(args[2]) != want) {
+        PyErr_Format(PyExc_TypeError, "scan() needs a tuple of %zd parameters", want);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < want; i++) {
+        par[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(args[2], i));
+        if (par[i] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    lo = AS_U64(args[3]);
+    if (lo == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    hi = AS_U64(args[4]);
+    if (hi == (u64)-1 && PyErr_Occurred())
+        return NULL;
+    if (hi >> 63) {
+        PyErr_SetString(PyExc_OverflowError, "scan() needs hi < 2**63");
+        return NULL;
+    }
+    if (lo < 3) {
+        /* n = 1 would give lucas_core the exponent 0, which it cannot take */
+        PyErr_SetString(PyExc_ValueError, "scan() needs lo >= 3");
+        return NULL;
+    }
+
+    PyObject *hits = PyList_New(0), *skips = PyList_New(0);
+    unsigned long long primes = 0, detected = 0;
+    if (hits == NULL || skips == NULL)
+        goto fail;
+    /* count the odd n rather than step past hi, which may be 2**63 - 1 */
+    u64 first = lo | 1;
+    u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
+    for (u64 i = 0; i < count; i++) {
+        u64 n = first + 2 * i, p, q, dn, g, u, v;
+        int eps, passed;
+        if (kind == LUCAS) {
+            p = reduce(par[0], n);
+            q = reduce(par[1], n);
+            dn = submod(mulmod(p, p, n), mulmod(4 % n, q, n), n);
+            eps = jacobi_u64(dn, n);
+            if (eps == 0) {
+                if (add_skip(skips, n, SKIP_JACOBI_ZERO, gcd_u64(dn, n)) < 0)
+                    goto fail;
+                continue;
+            }
+            g = gcd_u64(q, n);
+            if (g > 1) {
+                if (add_skip(skips, n, SKIP_GCD, g) < 0)
+                    goto fail;
+                continue;
+            }
+        } else {
+            u64 x, y;
+            dn = reduce(par[0], n);
+            if (kind == SEED) {
+                u64 a = reduce(par[1], n), a2 = mulmod(a, a, n);
+                u64 t = submod(a2, dn, n);
+                g = gcd_u64(t, n);
+                if (g != 1) {
+                    if (add_skip(skips, n, SKIP_PHI_UNDEFINED, g) < 0)
+                        goto fail;
+                    continue;
+                }
+                u64 inv = invmod(t, n);
+                x = mulmod(addmod(a2, dn, n), inv, n);
+                y = mulmod(addmod(a, a, n), inv, n);
+            } else {
+                x = reduce(par[1], n);
+                y = reduce(par[2], n);
+            }
+            if (submod(mulmod(x, x, n), mulmod(dn, mulmod(y, y, n), n), n) != 1) {
+                if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
+                    goto fail;
+                continue;
+            }
+            g = gcd_u64(y, n);
+            if (g > 1) {
+                if (add_skip(skips, n, SKIP_GCD, g) < 0)
+                    goto fail;
+                continue;
+            }
+            eps = jacobi_u64(dn, n);
+            if (eps == 0) {
+                if (add_skip(skips, n, SKIP_JACOBI_ZERO, gcd_u64(dn, n)) < 0)
+                    goto fail;
+                continue;
+            }
+            p = addmod(x, x, n);
+            q = 1;
+        }
+        lucas_core(p, q, eps > 0 ? n - 1 : n + 1, n, &u, &v);
+        if (!strong)
+            passed = u == 0;
+        else if (kind == LUCAS)  /* U_{k+1} = (P U_k + V_k) / 2 */
+            passed = u == 0 && half(addmod(mulmod(p, u, n), v, n), n) == 1;
+        else
+            passed = u == 0 && v == 2;
+        if (is_prime_u64(n))
+            primes++;
+        else if (passed) {
+            PyObject *hit = PyLong_FromUnsignedLongLong(n);
+            int rc = hit ? PyList_Append(hits, hit) : -1;
+            Py_XDECREF(hit);
+            if (rc < 0)
+                goto fail;
+        } else
+            detected++;
+    }
+    return Py_BuildValue("(NN(KnKn))", hits, skips, primes, PyList_GET_SIZE(hits),
+                         detected, PyList_GET_SIZE(skips));
+fail:
+    Py_XDECREF(hits);
+    Py_XDECREF(skips);
+    return NULL;
 }
 
 static PyObject *
@@ -307,6 +509,9 @@ static PyMethodDef methods[] = {
      "pell_pow(x, y, d, e, n): Brahmagupta square-and-multiply; see the pure backend."},
     {"is_prime", (PyCFunction)(void (*)(void))is_prime, METH_FASTCALL,
      "is_prime(n): deterministic primality for n < 2**63; see the pure backend."},
+    {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
+     "scan(kind, strong, params, lo, hi): one test over every odd n in [lo, hi],\n"
+     "for hi < 2**63 and parameters in signed 64-bit range; see the pure backend."},
     {"closed_form_sweep", (PyCFunction)(void (*)(void))closed_form_sweep, METH_FASTCALL,
      "closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10): bulk\n"
      "power-vs-closed-form comparison; see the pure backend."},

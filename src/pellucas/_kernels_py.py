@@ -9,14 +9,20 @@ All functions expect residues already reduced into ``[0, n)`` and an odd
 modulus ``n >= 3`` unless noted otherwise.
 """
 
+from math import gcd
+
 BACKEND = "pure"
 
-# Deterministic strong-probable-prime bases: no composite below
-# 3317044064679887385961981 passes all of them (Sorenson & Webster).
+# Deterministic strong-probable-prime bases: no composite below 2**32
+# passes {2, 7, 61} (Jaeschke 1993; the first is 4759123141), and no
+# composite below 3317044064679887385961981 passes all twelve (Sorenson &
+# Webster).
+_MR_BASES_32 = (2, 7, 61)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-_TRIAL_DIVISION_BOUND = 1 << 32
+# Skip codes of ``scan``: indices into ``verdict.SKIP_REASONS``.
+SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC = range(4)
 
 
 def jacobi(a, n):
@@ -74,19 +80,6 @@ def pell_pow(x, y, d, e, n):
     return rx, ry
 
 
-def _trial_division_prime(n):
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
-            return False
-        i += 6
-    return True
-
-
 def _mr_witness(a, d, s, n):
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
@@ -101,22 +94,96 @@ def _mr_witness(a, d, s, n):
 def is_prime(n):
     """Deterministic primality for n < 3317044064679887385961981.
 
-    Trial division below 2**32, the 12-base strong-probable-prime battery
-    above it.
+    The strong-probable-prime bases {2, 7, 61} below 2**32, the 12-base
+    battery at and above it.  A base that n divides is no witness: n is
+    then prime exactly when it equals the base.
     """
     if n < 2:
         return False
-    if n < _TRIAL_DIVISION_BOUND:
-        return _trial_division_prime(n)
-    for p in _MR_BASES:
-        if n % p == 0:
-            return False
+    bases = _MR_BASES_32 if n < 1 << 32 else _MR_BASES
+    for a in bases:
+        if n % a == 0:
+            return n == a
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    return not any(_mr_witness(a, d, s, n) for a in _MR_BASES)
+    return not any(_mr_witness(a, d, s, n) for a in bases)
+
+
+def scan(kind, strong, params, lo, hi):
+    """Run one test on every odd n in [lo, hi] (the fused block scan).
+
+    ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
+    with (d, x, y); the parameters are any integers, reduced mod each n.
+    For every n this makes the decisions of ``lucas._lucas_verdict`` or
+    ``conic._pell_verdict`` in the same order and with the same gcd
+    factors.  Both Pell kinds run the Lucas core with P = 2x, Q = 1: by
+    the closed form (x, y)^k = (V_k/2, y U_k) on the conic, once
+    gcd(y, n) = 1 the power's y vanishes iff U_k = 0, and the power is
+    (1, 0) iff also V_k = 2.
+
+    Returns (hits, skips, counts): the Pseudoprime n; one (n, code, factor
+    or None) per NotApplicable n, the code indexing
+    ``verdict.SKIP_REASONS``; and the Prime, Pseudoprime,
+    CompositeDetected and NotApplicable counts.
+    """
+    hits = []
+    skips = []
+    primes = detected = 0
+    for n in range(lo | 1, hi + 1, 2):
+        if kind == "lucas":
+            p, q = params[0] % n, params[1] % n
+            dn = (p * p - 4 * q) % n
+            eps = jacobi(dn, n)
+            if eps == 0:
+                skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
+                continue
+            g = gcd(q, n)
+            if g > 1:
+                skips.append((n, SKIP_GCD, g))
+                continue
+        else:
+            dn = params[0] % n
+            if kind == "seed":
+                a = params[1] % n
+                t = (a * a - dn) % n
+                g = gcd(t, n)
+                if g != 1:
+                    skips.append((n, SKIP_PHI_UNDEFINED, g))
+                    continue
+                inv = pow(t, -1, n)
+                x, y = (a * a + dn) * inv % n, 2 * a * inv % n
+            else:
+                x, y = params[1] % n, params[2] % n
+            if (x * x - dn * y * y) % n != 1:
+                skips.append((n, SKIP_NOT_ON_CONIC, None))
+                continue
+            g = gcd(y, n)
+            if g > 1:
+                skips.append((n, SKIP_GCD, g))
+                continue
+            eps = jacobi(dn, n)
+            if eps == 0:
+                skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
+                continue
+            p, q = 2 * x % n, 1
+        u, v = lucas_uv(p, q, n - eps, n)
+        if not strong:
+            passed = u == 0
+        elif kind == "lucas":
+            # U_{k+1} = (P U_k + V_k) / 2
+            passed = u == 0 and half((p * u + v) % n, n) == 1
+        else:
+            passed = u == 0 and v == 2
+        if is_prime(n):
+            primes += 1
+        elif passed:
+            hits.append(n)
+        else:
+            detected += 1
+    return hits, skips, (primes, len(hits), detected, len(skips))
 
 
 def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):

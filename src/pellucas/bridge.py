@@ -97,19 +97,6 @@ def check_closed_form(x, y, d, k, n):
     return ClosedFormCheck(power == closed, power, closed)
 
 
-def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):
-    """Exhaustive ``check_closed_form`` over small parameter boxes.
-
-    Delegates to the kernel backend, which advances both sides
-    incrementally instead of re-exponentiating per k.  Returns
-    (comparisons, mismatches).  Every modulus must be at least 3, as for
-    ``check_closed_form``.
-    """
-    if n_lo < 3:
-        raise ValueError(f"modulus must be odd and >= 3, got {n_lo}")
-    return kernels.closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap)
-
-
 @dataclass(frozen=True)
 class BridgeReport:
     """Verdicts on both sides of the parameter correspondence for one n.

@@ -63,8 +63,32 @@ def is_prime(n):
     return _py.is_prime(n)
 
 
+def scan(kind, strong, params, lo, hi):
+    """Run one test on every odd n in [lo, hi]; returns (hits, skips, counts).
+
+    ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
+    with (d, x, y); see ``_kernels_py.scan``.  The compiled scan runs when
+    hi and every parameter fit its 64-bit arithmetic, the pure one
+    otherwise.
+    """
+    if lo < 3:
+        raise ValueError(f"range must start at 3 or above, got {lo}")
+    if _c is not None and hi < _C_LIMIT and all(-_C_LIMIT <= v < _C_LIMIT for v in params):
+        return _c.scan(kind, strong, params, lo, hi)
+    return _py.scan(kind, strong, params, lo, hi)
+
+
 def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):
-    """Bulk Brahmagupta-power vs Lucas-closed-form comparison."""
+    """Exhaustive closed-form check over small parameter boxes.
+
+    Compares Brahmagupta powers with the Lucas closed form
+    (x, y)^k = (V_k/2, y U_k) for every box point, advancing both sides
+    incrementally instead of re-exponentiating per k; see
+    ``_kernels_py.closed_form_sweep``.  Returns (comparisons, mismatches).
+    Every modulus must be at least 3, as for ``bridge.check_closed_form``.
+    """
+    if n_lo < 3:
+        raise ValueError(f"modulus must be odd and >= 3, got {n_lo}")
     if _c is not None and n_hi < (1 << 31) and max(x_max, y_max, d_abs) < (1 << 31):
         return _c.closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap)
     return _py.closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap)

@@ -3,8 +3,17 @@
 Every odd n in the requested range gets the configured test; Pseudoprime
 hits and NotApplicable skips (with their reasons) are both first-class
 output, since fixed Pell parameters typically apply only to a sparse set
-of moduli.  Work is split into fixed-size blocks so reports are identical
-for any worker count.
+of moduli.  Work is split into fixed-size blocks of 2048 integers so
+reports are identical for any worker count.
+
+Each block is one fused scan, ``kernels.scan``: a single kernel call runs
+the test on every odd n of the block and returns plain tuples, from which
+the merge builds the ``Skip`` objects.  The scan is compiled when the
+extension is built and the block's end and the test parameters fit in
+signed 64-bit integers; otherwise it runs on the pure-Python kernels.
+The per-n functions ``lucas_test``, ``pell_test`` and their strong
+variants remain the specification: the scan makes their decisions, and
+the tests hold it to them.
 """
 
 import os
@@ -12,10 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
-from .conic import PellParams, pell_test, strong_pell_test
+from . import kernels
+from .conic import PellParams
 from .kernels import MR_DETERMINISTIC_BOUND
-from .lucas import LucasParams, lucas_test, strong_lucas_test
-from .verdict import Status
+from .lucas import LucasParams
+from .verdict import SKIP_REASONS, Status
 
 # Integers per work block; fixed so that block boundaries (and therefore
 # merged output) never depend on scheduling.
@@ -70,27 +80,20 @@ class SearchReport:
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _scan_block(spec, lo, hi):
-    """Test every odd n in [lo, hi]; returns (hits, skips, counts)."""
-    if spec.kind == "lucas":
-        test = strong_lucas_test if spec.strong else lucas_test
-    else:
-        test = strong_pell_test if spec.strong else pell_test
+def _scan_args(spec):
+    """The kind and parameter tuple of ``kernels.scan`` for a spec."""
     params = spec.params
-    hits = []
-    skips = []
-    counts = {s.value: 0 for s in Status}
-    start = lo if lo % 2 else lo + 1
-    for n in range(start, hi + 1, 2):
-        verdict = test(n, params)
-        # a str-enum member hashes and compares as its value, so it finds
-        # the value's key without the slow Status.value property lookup
-        counts[verdict.status] += 1
-        if verdict.status is Status.PSEUDOPRIME:
-            hits.append(n)
-        elif verdict.status is Status.NOT_APPLICABLE:
-            skips.append(Skip(n, verdict.reason, verdict.witnesses.get("gcd")))
-    return hits, skips, counts
+    if spec.kind == "lucas":
+        return "lucas", (params.p, params.q)
+    if params.has_seed:
+        return "seed", (params.d, params.a)
+    return "point", (params.d, params.x, params.y)
+
+
+def _scan_block(spec, lo, hi):
+    """Test every odd n in [lo, hi]; returns the plain tuples of ``kernels.scan``."""
+    kind, params = _scan_args(spec)
+    return kernels.scan(kind, spec.strong, params, lo, hi)
 
 
 def _blocks(lo, hi):
@@ -102,24 +105,27 @@ def enumerate_range(spec, workers=1):
     """Run the spec over its range, fanning blocks out to worker processes.
 
     Results are merged in block order, so the report is identical for any
-    ``workers`` value.
+    ``workers`` value.  The pool never has more processes than blocks.
     """
     blocks = _blocks(spec.lo, spec.hi)
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(blocks) == 1:
+    workers = min(workers, len(blocks))
+    if workers <= 1:
         parts = [_scan_block(spec, lo, hi) for lo, hi in blocks]
     else:
         los = [b[0] for b in blocks]
         his = [b[1] for b in blocks]
+        # a few chunks per worker: fewer round trips, still balanced
+        chunksize = max(1, len(blocks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_block, repeat(spec), los, his))
+            parts = list(pool.map(_scan_block, repeat(spec), los, his, chunksize=chunksize))
     hits = []
     skips = []
-    counts = {s.value: 0 for s in Status}
+    counts = [0] * len(Status)
     for part_hits, part_skips, part_counts in parts:
         hits.extend(part_hits)
-        skips.extend(part_skips)
-        for key, value in part_counts.items():
-            counts[key] += value
+        skips.extend(Skip(n, SKIP_REASONS[code], factor) for n, code, factor in part_skips)
+        counts = [a + b for a, b in zip(counts, part_counts)]
+    counts = {status.value: count for status, count in zip(Status, counts)}
     return SearchReport(spec, tuple(hits), tuple(skips), counts)

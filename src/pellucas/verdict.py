@@ -22,6 +22,11 @@ REASON_NOT_ON_CONIC = "point-not-on-conic"
 REASON_JACOBI_ZERO = "jacobi-zero"
 REASON_PHI_UNDEFINED = "parametrization-undefined"
 
+# The skip reason of each code that ``kernels.scan`` reports, indexed by
+# the code: 0 jacobi-zero, 1 gcd-failure, 2 parametrization-undefined,
+# 3 point-not-on-conic.  Both kernel backends use these codes.
+SKIP_REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT_ON_CONIC)
+
 
 @dataclass(frozen=True)
 class TestVerdict:

@@ -1,6 +1,7 @@
 """CLI: commands, formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -213,3 +214,23 @@ def test_reproduce_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["passed"] == "True"
     assert rows[0]["actual"] == "25"
+
+
+# sha256 of cli.main stdout; equal for every worker count and on both
+# kernel backends, so any change to enumerate's output bytes shows here.
+OUTPUT_DIGESTS = [
+    (["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--to", "20000"],
+     0, "f8cf6558353871ba6ff10039266261c1ed75155d8d9a292790ac86eafe4d55be"),
+    (["enumerate", "lucas", "--p", "3", "--to", "20000", "--strong"],
+     0, "0697e5d35a44e9487f838ee2e438758eb3d721241a18f2881ef8dee91029c2c1"),
+    (["reproduce"],
+     3, "c04a1ea74fe38ee8c3d13baf0660da3ed162c19be49945a4cc617a149f8d3512"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv,exit_code,digest", OUTPUT_DIGESTS)
+def test_output_bytes_pinned(capsys, argv, exit_code, digest, workers):
+    code, out = run(capsys, *argv, "--format", "jsonl", "--workers", workers)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

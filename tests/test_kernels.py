@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels must agree with the pure ones."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -67,11 +68,43 @@ def test_is_prime_parity():
     pure, fast = BACKENDS["pure"], BACKENDS["compiled"]
     for n in range(2, 2000):
         assert pure.is_prime(n) == fast.is_prime(n)
-    # straddle the trial-division/battery switch at 2**32
+    # straddle the switch from bases {2, 7, 61} to the 12-base battery at 2**32
     for n in range(2**32 - 20, 2**32 + 20):
         assert pure.is_prime(n) == fast.is_prime(n)
     for n in _random_cases(50, 60) + list(range(2**63 - 60, 2**63)):
         assert pure.is_prime(n) == fast.is_prime(n)
+
+
+def sieve_primes(lo, hi):
+    """The primes in [lo, hi), by crossing out multiples of every p <= sqrt(hi)."""
+    small = bytearray([1]) * (isqrt(hi) + 1)
+    small[:2] = b"\0\0"
+    flags = bytearray([1]) * (hi - lo)
+    for p in range(2, len(small)):
+        if small[p]:
+            small[p * p :: p] = bytes(len(range(p * p, len(small), p)))
+            start = max(p * p, (lo + p - 1) // p * p)
+            flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return {lo + i for i, f in enumerate(flags) if f and lo + i >= 2}
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_is_prime_matches_trial_division(name):
+    is_prime = BACKENDS[name].is_prime
+    windows = [
+        (0, 300_000, 1),
+        (2**32 - 600_000 + 1, 2**32, 2),  # 300,000 odd n below the base switch
+        (2**32 + 1, 2**32 + 1001, 1),
+    ]
+    for lo, hi, step in windows:
+        primes = sieve_primes(lo, hi)
+        assert [n for n in range(lo, hi, step) if is_prime(n)] == sorted(
+            n for n in primes if (n - lo) % step == 0
+        )
+    # a base that n divides is no witness against n
+    assert is_prime(2) and is_prime(7) and is_prime(61)
+    # the first composite that passes the bases {2, 7, 61} (Jaeschke 1993)
+    assert not is_prime(4759123141) and 4759123141 == 48781 * 97561
 
 
 @PAIRED
@@ -107,6 +140,15 @@ def test_dispatcher_reduces_inputs():
     # negative and oversized parameters are reduced before kernel entry
     assert kernels.lucas_uv(3 + 21, 1 - 21, 20, 21) == kernels.lucas_uv(3, 1, 20, 21)
     assert kernels.pell_pow(-9, 11, 5 - 21, 20, 21) == kernels.pell_pow(12, 11, 5, 20, 21)
+
+
+def test_closed_form_sweep_rejects_small_moduli():
+    # below 3 the backends disagree (96 comparisons compiled, 28 pure), so
+    # the dispatcher itself refuses such a range
+    for n_lo in (1, -3):
+        with pytest.raises(ValueError):
+            kernels.closed_form_sweep(1, 1, 1, 2, n_lo, 10)
+    assert kernels.closed_form_sweep(1, 1, 1, 2, 3, 10)[1] == []
 
 
 def test_mr_bound_exposed():

@@ -1,18 +1,30 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellucas import (
     LucasParams,
     PellParams,
     SearchSpec,
+    Status,
     enumerate_range,
+    kernels,
     load_fixtures,
+    lucas_test,
     lucas_to_phi_params,
+    pell_test,
     reproduce,
+    search,
+    strong_lucas_test,
+    strong_pell_test,
 )
 from pellucas.fixtures import parse_fixtures, run_fixture
 from pellucas.kernels import MR_DETERMINISTIC_BOUND
+from pellucas.verdict import SKIP_REASONS
+
+BACKENDS = kernels.backends()
 
 
 def trial_division_composite(n):
@@ -149,3 +161,163 @@ def test_fixture_parse_errors():
         parse_fixtures("unknown-kind P=3 expect=1\n")
     with pytest.raises(ValueError):
         parse_fixtures("lucas P=3 Q=1 range=3..50\n")  # no expect
+
+
+def test_workers_capped_at_block_count(monkeypatch):
+    # a fake pool that records its size and maps in-process, so that a huge
+    # worker count starts no process at all
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    spec = SearchSpec("lucas", LucasParams(3, 1), 3, 3 + 3 * search.BLOCK_SPAN - 1)
+    baseline = enumerate_range(spec, workers=1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    assert enumerate_range(spec, workers=10**6) == baseline
+    assert sizes == [3]
+
+
+# ------------------------------------------------------------- scan parity
+
+PER_N = {
+    ("lucas", False): lucas_test,
+    ("lucas", True): strong_lucas_test,
+    ("pell", False): pell_test,
+    ("pell", True): strong_pell_test,
+}
+
+
+def per_n_scan(kind, strong, params, lo, hi):
+    """The scan's (hits, skips, counts), built from the per-n tests."""
+    if kind == "lucas":
+        test, obj = PER_N["lucas", strong], LucasParams(*params)
+    elif kind == "seed":
+        test, obj = PER_N["pell", strong], PellParams.from_seed(*params)
+    else:
+        test, obj = PER_N["pell", strong], PellParams.from_point(*params)
+    hits, skips, counts = [], [], dict.fromkeys(Status, 0)
+    for n in range(lo | 1, hi + 1, 2):
+        verdict = test(n, obj)
+        counts[verdict.status] += 1
+        if verdict.status is Status.PSEUDOPRIME:
+            hits.append(n)
+        elif verdict.status is Status.NOT_APPLICABLE:
+            code = SKIP_REASONS.index(verdict.reason)
+            skips.append((n, code, verdict.witnesses.get("gcd")))
+    return hits, skips, tuple(counts[status] for status in Status)
+
+
+def backend_scan(name, kind, strong, params, lo, hi):
+    hits, skips, counts = BACKENDS[name].scan(kind, strong, params, lo, hi)
+    return list(hits), list(skips), tuple(counts)
+
+
+# Signed 64-bit parameters: the compiled scan's whole range.
+I64 = st.integers(-(2**63), 2**63 - 1)
+SMALL = st.integers(-50, 50)
+
+# (d, x, y) on x^2 - d y^2 = 1 over the integers, so on the conic mod every n
+SOLUTIONS = [(2, 3, 2), (2, 17, 12), (3, 2, 1), (3, 7, 4), (3, 26, 15), (5, 9, 4), (6, 5, 2),
+             (29, 9801, 1820), (-3, 1, 0), (7, -1, 0)]
+
+
+@st.composite
+def windows(draw):
+    """[lo, hi] of about 40 odd n at 3, around 2**32, at 10**12 or ending at 2**63 - 1."""
+    width = draw(st.integers(1, 80))
+    anchor = draw(st.sampled_from(["3", "2**32", "1e12", "2**63"]))
+    if anchor == "3":
+        return 3, 3 + width
+    if anchor == "2**63":
+        return 2**63 - 1 - width, 2**63 - 1
+    lo = {"2**32": 2**32 - 60, "1e12": 10**12}[anchor] + draw(st.integers(0, 120))
+    return lo, lo + width
+
+
+@st.composite
+def lucas_params(draw):
+    p = draw(st.integers(1, 2**63 - 1) | st.integers(1, 30))
+    q = draw(I64 | SMALL)
+    return (p, q) if p * p != 4 * q else (p, q + 1)
+
+
+@st.composite
+def seed_params(draw):
+    d = draw(I64 | SMALL)
+    return (d or 1, draw(I64 | SMALL))
+
+
+@st.composite
+def point_params(draw):
+    d, x, y = draw(st.sampled_from(SOLUTIONS))
+    sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    on_conic = (d, sx * x, sy * y)
+    off_conic = (draw(I64 | SMALL) or 1, draw(I64 | SMALL), draw(I64 | SMALL))
+    return draw(st.sampled_from([on_conic, off_conic, (3, 8, 66), (-3, -8, -66)]))
+
+
+SCAN_CASES = st.one_of(
+    st.tuples(st.just("lucas"), lucas_params()),
+    st.tuples(st.just("seed"), seed_params()),
+    st.tuples(st.just("point"), point_params()),
+)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@settings(max_examples=150, deadline=None)
+@given(case=SCAN_CASES, strong=st.booleans(), window=windows())
+def test_scan_matches_per_n_tests(name, case, strong, window):
+    kind, params = case
+    lo, hi = window
+    expected = per_n_scan(kind, strong, params, lo, hi)
+    assert backend_scan(name, kind, strong, params, lo, hi) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_scan_matches_per_n_tests_on_fixtures(name):
+    for fixture in load_fixtures():
+        if fixture.kind == "lucas":
+            kind, params = "lucas", (fixture.get("P"), fixture.get("Q"))
+        elif fixture.kind == "pell":
+            kind, params = "seed", (fixture.get("D"), fixture.get("a"))
+        elif fixture.kind == "pell-membership":
+            kind, params = "point", (fixture.get("D"), fixture.get("x"), fixture.get("y"))
+        else:
+            continue
+        lo, hi = fixture.get("lo"), fixture.get("hi")
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, lo, hi)
+            assert backend_scan(name, kind, strong, params, lo, hi) == expected, fixture.label
+
+
+def test_scan_dispatch_either_side_of_the_compiled_limit():
+    # hi and the parameters just inside the signed 64-bit range take the
+    # compiled scan when it is built; one past it, the pure scan
+    limit = kernels._C_LIMIT
+    cases = [
+        ("lucas", (3, -limit), limit - 61, limit - 1),
+        ("lucas", (3, -limit - 1), limit - 61, limit - 1),
+        ("lucas", (3, 1), limit - 61, limit + 61),
+        ("seed", (limit - 1, -limit), limit - 61, limit - 1),
+        ("seed", (limit, 4), 10**12, 10**12 + 60),
+        ("point", (3, -limit, 66), 3, 200),
+        ("point", (3, 8, -limit - 1), 3, 200),
+    ]
+    for kind, params, lo, hi in cases:
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, lo, hi)
+            hits, skips, counts = kernels.scan(kind, strong, params, lo, hi)
+            assert (list(hits), list(skips), tuple(counts)) == expected
+    with pytest.raises(ValueError):
+        kernels.scan("lucas", False, (3, 1), 1, 100)
