@@ -1,6 +1,7 @@
 /* Compiled modular kernels.
  *
- * Mirrors _kernels_py step for step for moduli below 2**63: residues live
+ * Mirrors _kernels_py step for step for moduli below 2**63 (scan mirrors
+ * _kernels_py.decide and scan together): residues live
  * in unsigned 64-bit words and every product goes through a 128-bit
  * intermediate, so results are exact.  The dispatcher in kernels.py routes
  * larger inputs to the pure backend.
@@ -411,12 +412,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             q = 1;
         }
         lucas_core(p, q, eps > 0 ? n - 1 : n + 1, n, &u, &v);
-        if (!strong)
-            passed = u == 0;
-        else if (kind == LUCAS)  /* U_{k+1} = (P U_k + V_k) / 2 */
-            passed = u == 0 && half(addmod(mulmod(p, u, n), v, n), n) == 1;
-        else
-            passed = u == 0 && v == 2;
+        passed = u == 0 && (!strong || v == 2);
         if (is_prime_u64(n))
             primes++;
         else if (passed) {

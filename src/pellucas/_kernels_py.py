@@ -3,7 +3,8 @@
 Reference implementation of the hot inner loops; exact for integers of any
 size thanks to Python's arbitrary-precision arithmetic.  The compiled
 backend in ``_kernels_c`` mirrors these functions for 64-bit moduli; the
-two are cross-checked in the test suite.
+two are cross-checked in the test suite.  ``decide`` holds the per-n
+decisions of both tests, for the block scan and the per-n tests alike.
 
 All functions expect residues already reduced into ``[0, n)`` and an odd
 modulus ``n >= 3`` unless noted otherwise.
@@ -112,27 +113,27 @@ def is_prime(n):
     return not any(_mr_witness(a, d, s, n) for a in bases)
 
 
-def scan(kind, strong, params, lo, hi):
-    """Run one test on every odd n in [lo, hi] (the fused block scan).
+def decide(kind, strong, params, ns, jacobi=jacobi, lucas_uv=lucas_uv):
+    """Decide one test for every odd n >= 3 of ``ns``; returns (skips, tested).
 
-    ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
-    with (d, x, y); the parameters are any integers, reduced mod each n.
-    For every n this makes the decisions of ``lucas._lucas_verdict`` or
-    ``conic._pell_verdict`` in the same order and with the same gcd
-    factors.  Both Pell kinds run the Lucas core with P = 2x, Q = 1: by
-    the closed form (x, y)^k = (V_k/2, y U_k) on the conic, once
-    gcd(y, n) = 1 the power's y vanishes iff U_k = 0, and the power is
-    (1, 0) iff also V_k = 2.
+    The one Python copy of the per-n decisions: ``scan`` collects them,
+    ``verdict.verdict`` turns one into a verdict, and the C ``scan``
+    mirrors them.  The parameters are any integers, reduced mod each n.
+    Gates, in order: for "lucas" (P, Q), (D/n) = 0, then gcd(Q, n) > 1;
+    for "seed" (d, a) and "point" (d, x, y), phi undefined or the point
+    off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
+    into ``skips`` as (n, code, factor or None), the code indexing
+    ``verdict.SKIP_REASONS``.
 
-    Returns (hits, skips, counts): the Pseudoprime n; one (n, code, factor
-    or None) per NotApplicable n, the code indexing
-    ``verdict.SKIP_REASONS``; and the Prime, Pseudoprime,
-    CompositeDetected and NotApplicable counts.
+    Any other n runs the Lucas core for k = n - (D/n), Pell with P = 2x,
+    Q = 1, where (x, y)^k = (V_k/2, y U_k).  The test passes iff U_k = 0
+    and, if strong, V_k = 2: for Lucas that is U_{k+1} = (P U_k + V_k)/2
+    = 1.  A tested n goes into ``tested`` as (n, passed, U_k, V_k, w, k),
+    with w = P for Lucas and y for Pell.
     """
-    hits = []
     skips = []
-    primes = detected = 0
-    for n in range(lo | 1, hi + 1, 2):
+    tested = []
+    for n in ns:
         if kind == "lucas":
             p, q = params[0] % n, params[1] % n
             dn = (p * p - 4 * q) % n
@@ -144,6 +145,7 @@ def scan(kind, strong, params, lo, hi):
             if g > 1:
                 skips.append((n, SKIP_GCD, g))
                 continue
+            w = p
         else:
             dn = params[0] % n
             if kind == "seed":
@@ -168,19 +170,27 @@ def scan(kind, strong, params, lo, hi):
             if eps == 0:
                 skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
                 continue
-            p, q = 2 * x % n, 1
-        u, v = lucas_uv(p, q, n - eps, n)
-        if not strong:
-            passed = u == 0
-        elif kind == "lucas":
-            # U_{k+1} = (P U_k + V_k) / 2
-            passed = u == 0 and half((p * u + v) % n, n) == 1
-        else:
-            passed = u == 0 and v == 2
-        if is_prime(n):
+            p, q, w = 2 * x % n, 1, y
+        k = n - eps
+        u, v = lucas_uv(p, q, k, n)
+        tested.append((n, u == 0 and (not strong or v == 2), u, v, w, k))
+    return skips, tested
+
+
+def scan(kind, strong, params, lo, hi):
+    """Run one test on every odd n in [lo, hi] (the fused block scan).
+
+    Collects ``decide`` on the pure kernels: the Pseudoprime n, the skips
+    and the Prime, Pseudoprime, CompositeDetected and NotApplicable counts.
+    """
+    skips, tested = decide(kind, strong, params, range(lo | 1, hi + 1, 2))
+    hits = []
+    primes = detected = 0
+    for row in tested:
+        if is_prime(row[0]):
             primes += 1
-        elif passed:
-            hits.append(n)
+        elif row[1]:
+            hits.append(row[0])
         else:
             detected += 1
     return hits, skips, (primes, len(hits), detected, len(skips))

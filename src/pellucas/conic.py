@@ -5,10 +5,13 @@ Points compose under the Brahmagupta product
 (1, 0) and inverse (x, -y).  Over Z_p the group has p - (d/p) elements,
 so a member point raised to n - (d/n) lands on (1, 0) whenever n is
 prime; composites where the power's y-coordinate still vanishes are the
-Pell pseudoprimes for d and that point.
+Pell pseudoprimes for d and that point.  The tests compute the power on
+the Lucas core, (x, y)^k = (V_k/2, y U_k) with P = 2x, Q = 1
+(``verdict.verdict``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from . import kernels
@@ -19,15 +22,7 @@ from .errors import (
     PhiUndefinedError,
 )
 from .modring import Modulus, as_modulus, is_composite
-from .verdict import (
-    REASON_GCD,
-    REASON_JACOBI_ZERO,
-    REASON_NOT_ON_CONIC,
-    REASON_PHI_UNDEFINED,
-    Status,
-    TestVerdict,
-    classify,
-)
+from .verdict import verdict
 
 
 def is_member(x, y, d, n):
@@ -144,37 +139,19 @@ class PellParams:
     def has_seed(self):
         return self.a is not None
 
+    @cached_property
+    def kernel_args(self):
+        """The kind and parameter tuple of ``kernels.scan``."""
+        if self.has_seed:
+            return "seed", (self.d, self.a)
+        return "point", (self.d, self.x, self.y)
+
     def resolve(self, n):
         """Concrete ConicPoint mod n; may raise NotOnConicError/PhiUndefinedError."""
         n = as_modulus(n)
         if self.has_seed:
             return phi(self.a, self.d, n)
         return ConicPoint(self.x, self.y, self.d, n)
-
-
-def _pell_verdict(n, params, strong):
-    n = as_modulus(n)
-    try:
-        point = params.resolve(n)
-    except PhiUndefinedError as err:
-        return TestVerdict(
-            Status.NOT_APPLICABLE, REASON_PHI_UNDEFINED, {"gcd": err.gcd}
-        )
-    except NotOnConicError:
-        return TestVerdict(Status.NOT_APPLICABLE, REASON_NOT_ON_CONIC, {})
-    m = n.n
-    g = gcd(m, point.y)
-    if g > 1:
-        return TestVerdict(Status.NOT_APPLICABLE, REASON_GCD, {"gcd": g})
-    eps = kernels.jacobi(params.d, m)
-    if eps == 0:
-        return TestVerdict(
-            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": gcd(params.d, m)}
-        )
-    k = m - eps
-    xk, yk = kernels.pell_pow(point.x, point.y, point.d, k, m)
-    passed = (xk == 1 and yk == 0) if strong else yk == 0
-    return classify(m, passed, {"x": xk, "y": yk, "k": k})
 
 
 def pell_test(n, params):
@@ -184,12 +161,12 @@ def pell_test(n, params):
     Jacobi symbol, phi undefined) become NotApplicable verdicts rather
     than exceptions so range searches can record and move on.
     """
-    return _pell_verdict(n, params, strong=False)
+    return verdict(n, params, strong=False)
 
 
 def strong_pell_test(n, params):
     """Stronger variant: the full power must equal the identity (1, 0)."""
-    return _pell_verdict(n, params, strong=True)
+    return verdict(n, params, strong=True)
 
 
 def conic_order(d, p, bound=10_000):

@@ -29,6 +29,15 @@ half = _py.half
 _C_LIMIT = 1 << 63
 
 
+def backend_for(n):
+    """The backend whose kernels take modulus n and exponents up to n + 1.
+
+    Its kernels take residues already reduced mod n, as
+    ``_kernels_py.decide`` passes them.
+    """
+    return _c if _c is not None and n < _C_LIMIT - 1 else _py
+
+
 def jacobi(a, n):
     """Jacobi symbol (a / n); a any integer, n odd positive."""
     a %= n
@@ -67,9 +76,9 @@ def scan(kind, strong, params, lo, hi):
     """Run one test on every odd n in [lo, hi]; returns (hits, skips, counts).
 
     ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
-    with (d, x, y); see ``_kernels_py.scan``.  The compiled scan runs when
-    hi and every parameter fit its 64-bit arithmetic, the pure one
-    otherwise.
+    with (d, x, y), as the params' ``kernel_args``; the decisions are
+    ``_kernels_py.decide``'s.  The compiled scan runs when hi and every
+    parameter fit its 64-bit arithmetic, the pure one otherwise.
     """
     if lo < 3:
         raise ValueError(f"range must start at 3 or above, got {lo}")

@@ -3,16 +3,17 @@
 The sequences are U_0 = 0, U_1 = 1, V_0 = 2, V_1 = P with the shared
 recurrence X_k = P X_{k-1} - Q X_{k-2}; the basic test asks whether
 U_{n - (D/n)} = 0 mod n for D = P^2 - 4Q.  Odd composite n passing it are
-pseudoprimes for (P, Q).
+pseudoprimes for (P, Q).  The tests are ``verdict.verdict`` calls.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
 from . import kernels
 from .errors import PerfectSquareError, SharedFactorError
 from .modring import Modulus, as_modulus, jacobi
-from .verdict import REASON_GCD, REASON_JACOBI_ZERO, Status, TestVerdict, classify
+from .verdict import classify, verdict
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,11 @@ class LucasParams:
     @property
     def d(self):
         return self.p * self.p - 4 * self.q
+
+    @cached_property
+    def kernel_args(self):
+        """The kind and parameter tuple of ``kernels.scan``."""
+        return "lucas", (self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -61,25 +67,6 @@ def lucas_uv_mod(params, k, n):
     return LucasPair(u, v, k, n)
 
 
-def _lucas_verdict(n, params, strong):
-    m = as_modulus(n).n
-    eps = kernels.jacobi(params.d, m)
-    if eps == 0:
-        return TestVerdict(
-            Status.NOT_APPLICABLE, REASON_JACOBI_ZERO, {"gcd": gcd(params.d, m)}
-        )
-    g = gcd(m, params.q)
-    if g > 1:
-        return TestVerdict(Status.NOT_APPLICABLE, REASON_GCD, {"gcd": g})
-    k = m - eps
-    u, v = kernels.lucas_uv(params.p, params.q, k, m)
-    if not strong:
-        return classify(m, u == 0, {"u": u, "k": k})
-    # U_{k+1} = (P U_k + V_k) / 2; the modulus is odd, so halving is exact.
-    u_next = kernels.half((params.p * u + v) % m, m)
-    return classify(m, u == 0 and u_next == 1, {"u": u, "u_next": u_next, "k": k})
-
-
 def lucas_test(n, params):
     """Lucas test: does U_{n - (D/n)} vanish mod n?
 
@@ -88,7 +75,7 @@ def lucas_test(n, params):
     when the congruence holds.  A zero Jacobi symbol or gcd(n, Q) > 1
     yields NotApplicable with the gcd as witness.
     """
-    return _lucas_verdict(n, params, strong=False)
+    return verdict(n, params, strong=False)
 
 
 def strong_lucas_test(n, params):
@@ -97,7 +84,7 @@ def strong_lucas_test(n, params):
     Equivalent to the full identity point on the conic side.  Both U
     values are always reported.
     """
-    return _lucas_verdict(n, params, strong=True)
+    return verdict(n, params, strong=True)
 
 
 def selfridge_params(n):

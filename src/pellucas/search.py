@@ -11,9 +11,8 @@ the test on every odd n of the block and returns plain tuples, from which
 the merge builds the ``Skip`` objects.  The scan is compiled when the
 extension is built and the block's end and the test parameters fit in
 signed 64-bit integers; otherwise it runs on the pure-Python kernels.
-The per-n functions ``lucas_test``, ``pell_test`` and their strong
-variants remain the specification: the scan makes their decisions, and
-the tests hold it to them.
+The pure scan and the per-n tests share one decision function,
+``_kernels_py.decide``; the C scan mirrors it.
 """
 
 import os
@@ -80,19 +79,9 @@ class SearchReport:
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _scan_args(spec):
-    """The kind and parameter tuple of ``kernels.scan`` for a spec."""
-    params = spec.params
-    if spec.kind == "lucas":
-        return "lucas", (params.p, params.q)
-    if params.has_seed:
-        return "seed", (params.d, params.a)
-    return "point", (params.d, params.x, params.y)
-
-
 def _scan_block(spec, lo, hi):
     """Test every odd n in [lo, hi]; returns the plain tuples of ``kernels.scan``."""
-    kind, params = _scan_args(spec)
+    kind, params = spec.params.kernel_args
     return kernels.scan(kind, spec.strong, params, lo, hi)
 
 

@@ -3,7 +3,9 @@
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .modring import is_composite
+from . import kernels
+from ._kernels_py import decide
+from .modring import as_modulus, is_composite
 
 
 class Status(str, Enum):
@@ -22,9 +24,7 @@ REASON_NOT_ON_CONIC = "point-not-on-conic"
 REASON_JACOBI_ZERO = "jacobi-zero"
 REASON_PHI_UNDEFINED = "parametrization-undefined"
 
-# The skip reason of each code that ``kernels.scan`` reports, indexed by
-# the code: 0 jacobi-zero, 1 gcd-failure, 2 parametrization-undefined,
-# 3 point-not-on-conic.  Both kernel backends use these codes.
+# The skip reason of each code of ``_kernels_py.decide`` and both scans.
 SKIP_REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT_ON_CONIC)
 
 
@@ -64,3 +64,27 @@ def classify(n, passed, witnesses):
     if passed:
         return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
     return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+
+
+def verdict(n, params, strong):
+    """The per-n Lucas or Pell test of ``params``: one ``decide`` row.
+
+    Runs on the kernels of the backend that fits n.  Witnesses:
+    U_k and k, plus U_{k+1} for strong Lucas; (x, y)^k and k for Pell.
+    """
+    m = as_modulus(n).n
+    kind, args = params.kernel_args
+    backend = kernels.backend_for(m)
+    skips, tested = decide(kind, strong, args, (m,), backend.jacobi, backend.lucas_uv)
+    if skips:
+        _, code, factor = skips[0]
+        witnesses = {} if factor is None else {"gcd": factor}
+        return TestVerdict(Status.NOT_APPLICABLE, SKIP_REASONS[code], witnesses)
+    _, passed, u, v, w, k = tested[0]
+    if kind != "lucas":
+        witnesses = {"x": kernels.half(v, m), "y": w * u % m, "k": k}
+    elif strong:
+        witnesses = {"u": u, "u_next": kernels.half((w * u + v) % m, m), "k": k}
+    else:
+        witnesses = {"u": u, "k": k}
+    return classify(m, passed, witnesses)

@@ -136,6 +136,23 @@ def test_dispatcher_handles_huge_moduli():
     assert kernels.is_prime(-5) is pure.is_prime(-5) is False
 
 
+def test_backend_for_either_side_of_the_compiled_limit():
+    # the per-n tests run the kernels of backend_for(n) on exponents n +- 1,
+    # so the compiled backend is picked only while n + 1 < 2**63
+    limit = kernels._C_LIMIT
+    below = "compiled" if "compiled" in BACKENDS else "pure"
+    assert kernels.backend_for(3).BACKEND == below
+    assert kernels.backend_for(limit - 3).BACKEND == below
+    for n in (limit - 1, limit + 1, kernels.MR_DETERMINISTIC_BOUND - 2):
+        assert kernels.backend_for(n).BACKEND == "pure"
+    pure = BACKENDS["pure"]
+    for n in (limit - 3, limit - 1):
+        backend = kernels.backend_for(n)
+        for k in (n - 1, n + 1):
+            assert backend.lucas_uv(n - 1, n - 2, k, n) == pure.lucas_uv(n - 1, n - 2, k, n)
+        assert backend.jacobi(n - 2, n) == pure.jacobi(n - 2, n)
+
+
 def test_dispatcher_reduces_inputs():
     # negative and oversized parameters are reduced before kernel entry
     assert kernels.lucas_uv(3 + 21, 1 - 21, 20, 21) == kernels.lucas_uv(3, 1, 20, 21)
