@@ -86,8 +86,6 @@ def check_closed_form(x, y, d, k, n):
     """
     if d == 0:
         raise ValueError("conic parameter d must be nonzero")
-    if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
     n = as_modulus(n)
     m = n.n
     power = kernels.pell_pow(x, y, d, k, m)

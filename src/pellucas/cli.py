@@ -5,7 +5,9 @@ formats: a human table (default), line-delimited JSON records
 (``--format jsonl``, one record per line, schema version 1) and CSV.
 
 Exit codes: 0 = command executed (whatever the mathematical verdict),
-2 = usage/validation error, 3 = fixture mismatch in ``reproduce``.
+2 = usage/validation error, 3 = fixture mismatch in ``reproduce``.  The
+library rejects a bad input with ``ValueError``; ``main`` turns every one
+into a usage error with the library's message.
 """
 
 import argparse
@@ -17,7 +19,6 @@ import sys
 from . import __version__
 from .bridge import from_pell, roundtrip
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
-from .errors import DegenerateDError, NotOnConicError, ZeroPError
 from .fixtures import KINDS, reproduce
 from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
@@ -46,14 +47,9 @@ def _flatten(value):
     return value
 
 
-def _print_csv(records):
-    if not records:
-        return
-    columns = []
-    for rec in records:
-        for key in rec:
-            if key not in columns:
-                columns.append(key)
+def _print_csv(records, columns=None):
+    if columns is None:
+        columns = list(dict.fromkeys(key for rec in records for key in rec))
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=columns)
     writer.writeheader()
@@ -77,31 +73,16 @@ def _witness_text(witnesses):
 
 
 def _parse_modulus(parser, n):
+    # checked here: a gate may skip such an n as NotApplicable before its
+    # primality, which the tests refuse above the bound, is asked
     if n >= MR_DETERMINISTIC_BOUND:
         parser.error(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
-    try:
-        return Modulus(n)
-    except ValueError as err:
-        parser.error(str(err))
-
-
-def _lucas_params(parser, args):
-    try:
-        return LucasParams(args.p, args.q)
-    except ValueError as err:
-        parser.error(str(err))
-
-
-def _pell_params(parser, args):
-    try:
-        return PellParams(args.d, x=args.x, y=args.y, a=args.a)
-    except ValueError as err:
-        parser.error(str(err))
+    return Modulus(n)
 
 
 def cmd_lucas_test(parser, args):
     n = _parse_modulus(parser, args.n)
-    params = _lucas_params(parser, args)
+    params = LucasParams(args.p, args.q)
     test = strong_lucas_test if args.strong else lucas_test
     verdict = test(n, params)
     rec = _record(
@@ -123,7 +104,7 @@ def cmd_lucas_test(parser, args):
 
 def cmd_pell_test(parser, args):
     n = _parse_modulus(parser, args.n)
-    params = _pell_params(parser, args)
+    params = PellParams(args.d, x=args.x, y=args.y, a=args.a)
     test = strong_pell_test if args.strong else pell_test
     verdict = test(n, params)
     source = {"x": args.x, "y": args.y} if args.a is None else {"a": args.a}
@@ -149,18 +130,15 @@ def cmd_enumerate(parser, args):
     if args.kind == "lucas":
         if args.p is None:
             parser.error("lucas enumeration needs --p (and optionally --q)")
-        params = _lucas_params(parser, args)
+        params = LucasParams(args.p, args.q)
         shown = {"p": args.p, "q": args.q}
     else:
         if args.d is None:
             parser.error("pell enumeration needs --d plus --x/--y or --a")
-        params = _pell_params(parser, args)
+        params = PellParams(args.d, x=args.x, y=args.y, a=args.a)
         shown = {"d": args.d}
         shown.update({"x": args.x, "y": args.y} if args.a is None else {"a": args.a})
-    try:
-        spec = SearchSpec(args.kind, params, args.lo, args.to, args.strong)
-    except ValueError as err:
-        parser.error(str(err))
+    spec = SearchSpec(args.kind, params, args.lo, args.to, args.strong)
     report = enumerate_range(spec, workers=args.workers)
     rec = _record(
         "enumerate",
@@ -189,11 +167,9 @@ def cmd_enumerate(parser, args):
             "skipped: " + " ".join(f"{k}={v}" for k, v in sorted(reasons.items()))
         )
     if args.format == "csv":
-        rows = [
-            _record("enumerate", kind=args.kind, **shown, n=n)
-            for n in report.pseudoprimes
-        ]
-        _print_csv(rows)
+        # the header is printed even when there are no hits
+        row = _record("enumerate", kind=args.kind, **shown, n=None)
+        _print_csv([dict(row, n=n) for n in report.pseudoprimes], columns=list(row))
         return 0
     _emit([rec], args.format, lines)
     return 0
@@ -201,18 +177,15 @@ def cmd_enumerate(parser, args):
 
 def cmd_bridge(parser, args):
     n = _parse_modulus(parser, args.n)
-    try:
-        if args.from_lucas:
-            if args.p is None:
-                parser.error("--from-lucas needs --p")
-            report = roundtrip(n, args.p, strong=args.strong)
-        else:
-            if args.d is None or args.x is None or args.y is None:
-                parser.error("--from-pell needs --d, --x and --y")
-            point = ConicPoint(args.x, args.y, args.d, n)
-            report = from_pell(n, point, strong=args.strong)
-    except (DegenerateDError, ZeroPError, NotOnConicError, ValueError) as err:
-        parser.error(str(err))
+    if args.from_lucas:
+        if args.p is None:
+            parser.error("--from-lucas needs --p")
+        report = roundtrip(n, args.p, strong=args.strong)
+    else:
+        if args.d is None or args.x is None or args.y is None:
+            parser.error("--from-pell needs --d, --x and --y")
+        point = ConicPoint(args.x, args.y, args.d, n)
+        report = from_pell(n, point, strong=args.strong)
     pp = report.pell_params
     rec = _record(
         "bridge",
@@ -347,7 +320,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(parser, args)
+        try:
+            return args.func(parser, args)
+        except ValueError as err:
+            parser.error(str(err))
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)

@@ -81,8 +81,6 @@ def brahmagupta_mul(p1, p2):
 
 def pell_pow(point, e):
     """point^(x)e by square-and-multiply; e = 0 gives the identity."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
     x, y = kernels.pell_pow(point.x, point.y, point.d, e, point.n.n)
     return ConicPoint(x, y, point.d, point.n)
 

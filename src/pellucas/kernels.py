@@ -1,9 +1,19 @@
 """Backend selection for the modular-arithmetic kernels.
 
-The compiled extension (``_kernels_c``) is used automatically when it is
-importable and the operands fit its 64-bit arithmetic; everything else
-runs on the pure-Python backend (``_kernels_py``), which is exact at any
-size.  ``backends()`` reaches either backend directly.
+One rule picks the backend: ``backend_for(n)`` gives the compiled
+extension (``_kernels_c``) when it is importable and 0 <= n < 2**63 - 1,
+and the pure-Python backend (``_kernels_py``), exact at any size,
+otherwise.  ``jacobi`` and ``is_prime`` pass it the modulus; ``lucas_uv``
+and ``pell_pow`` pass it max(n, k), so that the exponent fits as well.
+Those two first reject a negative exponent, on which the kernels would
+loop forever or answer wrongly.  ``backends()`` reaches either backend
+directly.
+
+Two calls keep checks of their own.  ``scan`` runs compiled only when hi
+and every parameter fit signed 64-bit integers, because the C scan reads
+the parameters as such before reducing them mod each n.
+``closed_form_sweep`` runs compiled only below 2**31, so that the C loop
+counters cannot overflow.
 
 Callers pass plain integers; parameters are reduced mod n here so both
 backends see residues in ``[0, n)``.
@@ -27,6 +37,8 @@ half = _py.half
 # The compiled kernels hold residues in unsigned 64-bit words and add two
 # of them without widening, so the modulus must stay below 2**63.
 _C_LIMIT = 1 << 63
+# backend_for's bound: 0 while the extension is missing, so it never picks it.
+_C_MAX = _C_LIMIT - 1 if _c is not None else 0
 
 
 def backend_for(n):
@@ -35,41 +47,31 @@ def backend_for(n):
     Its kernels take residues already reduced mod n, as
     ``_kernels_py.decide`` passes them.
     """
-    return _c if _c is not None and n < _C_LIMIT - 1 else _py
+    return _c if 0 <= n < _C_MAX else _py
 
 
 def jacobi(a, n):
     """Jacobi symbol (a / n); a any integer, n odd positive."""
-    a %= n
-    if _c is not None and n < _C_LIMIT:
-        return _c.jacobi(a, n)
-    return _py.jacobi(a, n)
+    return backend_for(n).jacobi(a % n, n)
 
 
 def lucas_uv(p, q, k, n):
     """(U_k mod n, V_k mod n) for Lucas parameters (p, q); n odd >= 3."""
-    p %= n
-    q %= n
-    if _c is not None and n < _C_LIMIT and 0 <= k < _C_LIMIT:
-        return _c.lucas_uv(p, q, k, n)
-    return _py.lucas_uv(p, q, k, n)
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
+    return backend_for(max(n, k)).lucas_uv(p % n, q % n, k, n)
 
 
 def pell_pow(x, y, d, e, n):
     """(x, y)^(x)e under the Brahmagupta product mod n; n odd >= 3."""
-    x %= n
-    y %= n
-    d %= n
-    if _c is not None and n < _C_LIMIT and 0 <= e < _C_LIMIT:
-        return _c.pell_pow(x, y, d, e, n)
-    return _py.pell_pow(x, y, d, e, n)
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    return backend_for(max(n, e)).pell_pow(x % n, y % n, d % n, e, n)
 
 
 def is_prime(n):
     """Deterministic primality; exact below MR_DETERMINISTIC_BOUND."""
-    if _c is not None and 0 <= n < _C_LIMIT:
-        return _c.is_prime(n)
-    return _py.is_prime(n)
+    return backend_for(n).is_prime(n)
 
 
 def scan(kind, strong, params, lo, hi):

@@ -60,8 +60,6 @@ class LucasPair:
 
 def lucas_uv_mod(params, k, n):
     """Evaluate (U_k, V_k) mod n in O(log k) ring operations."""
-    if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
     n = as_modulus(n)
     u, v = kernels.lucas_uv(params.p, params.q, k, n.n)
     return LucasPair(u, v, k, n)

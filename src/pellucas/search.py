@@ -16,7 +16,6 @@ The pure scan and the per-n tests share one decision function,
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -103,6 +102,9 @@ def enumerate_range(spec, workers=1):
     if workers <= 1:
         parts = [_scan_block(spec, lo, hi) for lo, hi in blocks]
     else:
+        # imported here, not at the top: it adds about 20 ms to importing pellucas
+        from concurrent.futures import ProcessPoolExecutor
+
         los = [b[0] for b in blocks]
         his = [b[1] for b in blocks]
         # a few chunks per worker: fewer round trips, still balanced

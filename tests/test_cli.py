@@ -4,9 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pellucas
 from pellucas import cli, fixtures, kernels
 
 
@@ -149,12 +156,18 @@ def test_enumerate_pell_seed(capsys):
     assert any(s["reason"] == "parametrization-undefined" for s in rec["skipped"])
 
 
-def test_enumerate_csv(capsys):
-    code, out = run(capsys, "enumerate", "pell", "--d", "6", "--a", "4", "--to", "3000",
-                    "--workers", "1", "--format", "csv")
+@pytest.mark.parametrize("argv,header,ns", [
+    (["pell", "--d", "6", "--a", "4", "--to", "3000"], "schema,command,kind,d,a,n",
+     [77, 187, 217, 323, 341, 377, 1763, 2387]),
+    # no hits: the header alone
+    (["lucas", "--p", "3", "--to", "20"], "schema,command,kind,p,q,n", []),
+])
+def test_enumerate_csv(capsys, argv, header, ns):
+    code, out = run(capsys, "enumerate", *argv, "--workers", "1", "--format", "csv")
     assert code == 0
+    assert out.splitlines()[0] == header
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert [int(r["n"]) for r in rows] == [77, 187, 217, 323, 341, 377, 1763, 2387]
+    assert [int(r["n"]) for r in rows] == ns
 
 
 def test_bridge_from_lucas(capsys):
@@ -234,3 +247,67 @@ def test_output_bytes_pinned(capsys, argv, exit_code, digest, workers):
     code, out = run(capsys, *argv, "--format", "jsonl", "--workers", workers)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # the pool is imported only by a search that uses it
+    src = os.path.dirname(os.path.dirname(pellucas.__file__))
+    code = "import sys, pellucas.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+# ------------------------------------------------------------------ fuzz
+
+BOUND = kernels.MR_DETERMINISTIC_BOUND
+FUZZ_INTS = st.sampled_from([
+    -(1 << 64), -21, -3, -1, 0, 1, 2, 4, 12, 1000,
+    3, 5, 7, 9, 15, 21, 25, 85, 163, 323, 341, 1891, 10**12 + 39, (1 << 61) - 1,
+    (1 << 63) - 1, (1 << 63) + 1, BOUND - 2, BOUND + 2,
+])
+# (command words, flags always given, flags given or not); some entries
+# can leave out a flag that the command needs
+FUZZ_COMMANDS = [
+    (["lucas-test"], ["--p"], ["--q"]),
+    (["pell-test"], ["--d", "--a"], ["--x"]),
+    (["pell-test"], ["--d", "--x", "--y"], []),
+    (["enumerate", "lucas"], ["--p"], ["--q", "--d"]),
+    (["enumerate", "pell"], ["--d", "--a"], ["--p"]),
+    (["enumerate", "pell"], ["--d", "--x", "--y"], ["--a"]),
+    (["enumerate", "pell"], [], ["--x", "--a"]),
+    (["bridge", "--from-lucas"], ["--p"], ["--d"]),
+    (["bridge", "--from-pell"], ["--d", "--x", "--y"], ["--p"]),
+    (["bridge", "--from-pell"], ["--d"], ["--x"]),
+]
+
+
+@st.composite
+def cli_argv(draw):
+    words, always, maybe = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(words)
+    if words[0] == "enumerate":
+        lo = draw(FUZZ_INTS)
+        hi = lo + draw(st.integers(-2, 200))
+        argv += ["--from", str(lo), "--to", str(hi), "--workers", "1"]
+    else:
+        argv.insert(1, str(draw(FUZZ_INTS)))
+    for flag in always + [f for f in maybe if draw(st.booleans())]:
+        argv += [flag, str(draw(FUZZ_INTS))]
+    if draw(st.booleans()):
+        argv.append("--strong")
+    return argv + ["--format", draw(st.sampled_from(["table", "jsonl", "csv"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_gives_a_verdict_or_exit_2(argv):
+    # every input gets output and exit 0, or a usage message and exit 2
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 2:
+        assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()
+    else:
+        assert code == 0 and out.getvalue() and not err.getvalue()

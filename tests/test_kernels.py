@@ -153,6 +153,17 @@ def test_backend_for_either_side_of_the_compiled_limit():
         assert backend.jacobi(n - 2, n) == pure.jacobi(n - 2, n)
 
 
+def test_dispatchers_reject_negative_exponents():
+    # on k = -1 the pure kernels loop forever (pell_pow) or answer (8, 18)
+    # mod 21 (lucas_uv), so both dispatchers refuse it on either side of
+    # the compiled limit
+    for n in (21, (1 << 63) + 3):
+        with pytest.raises(ValueError):
+            kernels.lucas_uv(3, 1, -1, n)
+        with pytest.raises(ValueError):
+            kernels.pell_pow(1, 1, 1, -1, n)
+
+
 def test_dispatcher_reduces_inputs():
     # negative and oversized parameters are reduced before kernel entry
     assert kernels.lucas_uv(3 + 21, 1 - 21, 20, 21) == kernels.lucas_uv(3, 1, 20, 21)

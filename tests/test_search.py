@@ -1,5 +1,7 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
+import concurrent.futures
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,7 +185,7 @@ def test_workers_capped_at_block_count(monkeypatch):
 
     spec = SearchSpec("lucas", LucasParams(3, 1), 3, 3 + 3 * search.BLOCK_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert enumerate_range(spec, workers=10**6) == baseline
     assert sizes == [3]
 
