@@ -5,7 +5,8 @@ formats: a human table (default), line-delimited JSON records
 (``--format jsonl``, one record per line, schema version 1) and CSV.
 
 Exit codes: 0 = command executed (whatever the mathematical verdict),
-2 = usage/validation error, 3 = fixture mismatch in ``reproduce``.  The
+2 = usage/validation error, 3 = fixture mismatch in ``reproduce``, 141 =
+the output pipe was closed (as for a tool killed by SIGPIPE).  The
 library rejects a bad input with ``ValueError``; ``main`` turns every one
 into a usage error with the library's message.
 """
@@ -14,7 +15,12 @@ import argparse
 import csv
 import io
 import json
+import os
+import shutil
 import sys
+import tempfile
+from collections import Counter
+from operator import itemgetter
 
 from . import __version__
 from .bridge import from_pell, roundtrip
@@ -23,9 +29,15 @@ from .fixtures import KINDS, reproduce
 from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import Modulus
-from .search import SearchSpec, enumerate_range
+from .search import SearchSpec, iter_blocks
+from .verdict import SKIP_REASONS, Status
 
 SCHEMA_VERSION = 1
+
+# json.dumps's bytes for one enumerate skip, per reason code, with the n
+# and the factor left open
+_SKIP_JSON = ['{"n": %d, "reason": ' + json.dumps(reason) + ', "factor": %s}'
+              for reason in SKIP_REASONS]
 
 
 def _record(command, **payload):
@@ -139,40 +151,69 @@ def cmd_enumerate(parser, args):
         shown = {"d": args.d}
         shown.update({"x": args.x, "y": args.y} if args.a is None else {"a": args.a})
     spec = SearchSpec(args.kind, params, args.lo, args.to, args.strong)
-    report = enumerate_range(spec, workers=args.workers)
-    rec = _record(
-        "enumerate",
-        kind=args.kind,
-        **shown,
-        strong=args.strong,
-        **{"from": args.lo, "to": args.to},
-        pseudoprimes=list(report.pseudoprimes),
-        skipped=[
-            {"n": s.n, "reason": s.reason, "factor": s.factor} for s in report.skipped
-        ],
-        counts=report.counts,
-    )
+    if args.format == "jsonl":
+        # the skips go to a spool as text, block by block, and from there
+        # into the record between its head and its counts
+        with tempfile.TemporaryFile("w+") as spool:
+            hits, counts, _ = _stream_blocks(spec, args.workers, spool)
+            head = _record(
+                "enumerate",
+                kind=args.kind,
+                **shown,
+                strong=args.strong,
+                **{"from": args.lo, "to": args.to},
+                pseudoprimes=hits,
+            )
+            sys.stdout.write(json.dumps(head, separators=(", ", ": "))[:-1] + ', "skipped": [')
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+            tail = json.dumps({"counts": counts}, separators=(", ", ": "))
+            sys.stdout.write("], " + tail[1:] + "\n")
+        return 0
+    hits, counts, reasons = _stream_blocks(spec, args.workers, None)
+    if args.format == "csv":
+        # the header is printed even when there are no hits
+        row = _record("enumerate", kind=args.kind, **shown, n=None)
+        _print_csv([dict(row, n=n) for n in hits], columns=list(row))
+        return 0
     lines = [
         f"{args.kind} pseudoprimes in [{args.lo}, {args.to}] "
         + " ".join(f"{k}={v}" for k, v in shown.items())
         + (" strong" if args.strong else ""),
-        "  " + (", ".join(map(str, report.pseudoprimes)) or "(none)"),
-        "counts: " + " ".join(f"{k}={v}" for k, v in report.counts.items()),
+        "  " + (", ".join(map(str, hits)) or "(none)"),
+        "counts: " + " ".join(f"{k}={v}" for k, v in counts.items()),
     ]
-    reasons = {}
-    for skip in report.skipped:
-        reasons[skip.reason] = reasons.get(skip.reason, 0) + 1
     if reasons:
         lines.append(
             "skipped: " + " ".join(f"{k}={v}" for k, v in sorted(reasons.items()))
         )
-    if args.format == "csv":
-        # the header is printed even when there are no hits
-        row = _record("enumerate", kind=args.kind, **shown, n=None)
-        _print_csv([dict(row, n=n) for n in report.pseudoprimes], columns=list(row))
-        return 0
-    _emit([rec], args.format, lines)
+    print("\n".join(lines))
     return 0
+
+
+def _stream_blocks(spec, workers, spool):
+    """Consume ``iter_blocks``; returns (hits, status counts, skips per reason).
+
+    No skip is kept: with a spool, each block's skips are written to it as
+    the JSON list items of the record, separated by ", ".
+    """
+    hits = []
+    counts = [0] * len(Status)
+    codes = Counter()
+    sep = ""
+    for part_hits, part_skips, part_counts in iter_blocks(spec, workers):
+        hits.extend(part_hits)
+        counts = [a + b for a, b in zip(counts, part_counts)]
+        codes.update(map(itemgetter(1), part_skips))
+        if spool is not None and part_skips:
+            spool.write(sep)
+            spool.write(", ".join(
+                _SKIP_JSON[code] % (n, "null" if factor is None else factor)
+                for n, code, factor in part_skips
+            ))
+            sep = ", "
+    counts = {status.value: count for status, count in zip(Status, counts)}
+    return hits, counts, {SKIP_REASONS[code]: count for code, count in codes.items()}
 
 
 def cmd_bridge(parser, args):
@@ -330,7 +371,15 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): point stdout at devnull so
+        # the flush at exit cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13
+    sys.exit(code)
 
 
 if __name__ == "__main__":

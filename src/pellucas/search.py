@@ -7,17 +7,20 @@ of moduli.  Work is split into fixed-size blocks of 2048 integers so
 reports are identical for any worker count.
 
 Each block is one fused scan, ``kernels.scan``: a single kernel call runs
-the test on every odd n of the block and returns plain tuples, from which
-the merge builds the ``Skip`` objects.  The scan is compiled when the
-extension is built and the block's end and the test parameters fit in
-signed 64-bit integers; otherwise it runs on the pure-Python kernels.
+the test on every odd n of the block and returns plain tuples.
+``iter_blocks`` yields those tuples block by block, in block order, so a
+caller that streams them (the CLI does) holds one block at a time;
+``enumerate_range`` collects them and builds the ``Skip`` objects.  The
+scan is compiled when the extension is built and the block's end and the
+test parameters fit in signed 64-bit integers; otherwise it runs on the
+pure-Python kernels.
 The pure scan and the per-n tests share one decision function,
 ``_kernels_py.decide``; the C scan mirrors it.
 """
 
 import os
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import kernels
 from .conic import PellParams
@@ -28,6 +31,12 @@ from .verdict import SKIP_REASONS, Status
 # Integers per work block; fixed so that block boundaries (and therefore
 # merged output) never depend on scheduling.
 BLOCK_SPAN = 2048
+# Blocks per pool task: one block per task spends more on the round trips
+# than the scan of a sparse search takes.
+RUN_BLOCKS = 16
+RUN_SPAN = RUN_BLOCKS * BLOCK_SPAN
+# Runs in flight or waiting to be consumed, per worker.
+LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -78,43 +87,57 @@ class SearchReport:
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _scan_block(spec, lo, hi):
-    """Test every odd n in [lo, hi]; returns the plain tuples of ``kernels.scan``."""
+def _scan_blocks(spec, lo, hi):
+    """Test every odd n in [lo, hi]; yields the plain tuples of ``kernels.scan``, block by block."""
     kind, params = spec.params.kernel_args
-    return kernels.scan(kind, spec.strong, params, lo, hi)
+    for b in range(lo, hi + 1, BLOCK_SPAN):
+        yield kernels.scan(kind, spec.strong, params, b, min(b + BLOCK_SPAN - 1, hi))
 
 
-def _blocks(lo, hi):
-    lows = range(lo, hi + 1, BLOCK_SPAN)
-    return [(b, min(b + BLOCK_SPAN - 1, hi)) for b in lows]
+def _scan_run(spec, lo, hi):
+    """One pool task: the blocks of a run, as a list (a generator does not pickle)."""
+    return list(_scan_blocks(spec, lo, hi))
+
+
+def iter_blocks(spec, workers=1):
+    """Yield each block's ``(hits, skips, counts)`` from ``kernels.scan``, in block order.
+
+    With more than one worker, runs of ``RUN_BLOCKS`` blocks go to a
+    process pool, and at most ``LOOKAHEAD`` runs per worker are in flight
+    or waiting to be consumed, so memory does not grow with the range.  The
+    pool never has more processes than runs: a search of one run stays
+    in-process.  ``workers=None`` means one per core.
+    """
+    runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(runs))
+    if workers <= 1:
+        yield from _scan_blocks(spec, spec.lo, spec.hi)
+        return
+    # imported here, not at the top: it adds about 20 ms to importing pellucas
+    from concurrent.futures import ProcessPoolExecutor
+
+    pending = deque()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for lo in runs:
+            pending.append(pool.submit(_scan_run, spec, lo, min(lo + RUN_SPAN - 1, spec.hi)))
+            if len(pending) == LOOKAHEAD * workers:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
 
 
 def enumerate_range(spec, workers=1):
     """Run the spec over its range, fanning blocks out to worker processes.
 
     Results are merged in block order, so the report is identical for any
-    ``workers`` value.  The pool never has more processes than blocks.
+    ``workers`` value; see ``iter_blocks``.
     """
-    blocks = _blocks(spec.lo, spec.hi)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        parts = [_scan_block(spec, lo, hi) for lo, hi in blocks]
-    else:
-        # imported here, not at the top: it adds about 20 ms to importing pellucas
-        from concurrent.futures import ProcessPoolExecutor
-
-        los = [b[0] for b in blocks]
-        his = [b[1] for b in blocks]
-        # a few chunks per worker: fewer round trips, still balanced
-        chunksize = max(1, len(blocks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_block, repeat(spec), los, his, chunksize=chunksize))
     hits = []
     skips = []
     counts = [0] * len(Status)
-    for part_hits, part_skips, part_counts in parts:
+    for part_hits, part_skips, part_counts in iter_blocks(spec, workers):
         hits.extend(part_hits)
         skips.extend(Skip(n, SKIP_REASONS[code], factor) for n, code, factor in part_skips)
         counts = [a + b for a, b in zip(counts, part_counts)]

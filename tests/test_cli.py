@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -238,6 +239,9 @@ OUTPUT_DIGESTS = [
      0, "0697e5d35a44e9487f838ee2e438758eb3d721241a18f2881ef8dee91029c2c1"),
     (["reproduce"],
      3, "c04a1ea74fe38ee8c3d13baf0660da3ed162c19be49945a4cc617a149f8d3512"),
+    # four runs of blocks, so --workers 2 starts a real pool
+    (["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"],
+     0, "cf96f8a083aa0b6c30de994119d2ed979de613f929d1a1a1341cafb07e6950ae"),
 ]
 
 
@@ -247,6 +251,46 @@ def test_output_bytes_pinned(capsys, argv, exit_code, digest, workers):
     code, out = run(capsys, *argv, "--format", "jsonl", "--workers", workers)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_output_pipe_exits_141():
+    # about 600 kB of JSONL, more than a pipe holds; the reader stops at 50 bytes
+    src = os.path.dirname(os.path.dirname(pellucas.__file__))
+    argv = ["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--to", "20000",
+            "--workers", "1", "--format", "jsonl"]
+    proc = subprocess.Popen([sys.executable, "-m", "pellucas.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(50).startswith(b'{"schema": 1, "command": "enumerate"')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+
+
+class Sink(io.TextIOBase):
+    """A text stdout that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def enumerate_peak(to):
+    """tracemalloc peak, in bytes, of a sparse JSONL search up to ``to``."""
+    argv = ["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--to", str(to),
+            "--workers", "1", "--format", "jsonl"]
+    tracemalloc.start()
+    try:
+        with redirect_stdout(Sink()):
+            assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_memory_does_not_grow_with_the_range():
+    enumerate_peak(3000)  # imports and caches are not part of the search
+    assert enumerate_peak(240_000) <= 1.2 * enumerate_peak(60_000)
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -106,11 +106,16 @@ def test_equivalence_sweep_via_parametrization():
 
 
 def test_parallel_determinism():
-    spec = SearchSpec("pell", PellParams.from_seed(23, 32), 3, 3000)
-    baseline = enumerate_range(spec, workers=1)
-    for workers in (2, 8):
-        report = enumerate_range(spec, workers=workers)
-        assert report == baseline
+    specs = [
+        SearchSpec("pell", PellParams.from_seed(23, 32), 3, 3000),
+        # four runs of blocks, so a real pool of up to four processes
+        SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 100_000),
+    ]
+    for spec in specs:
+        baseline = enumerate_range(spec, workers=1)
+        for workers in (2, 8):
+            report = enumerate_range(spec, workers=workers)
+            assert report == baseline
 
 
 def test_fixture_parsing_and_labels():
@@ -165,29 +170,67 @@ def test_fixture_parse_errors():
         parse_fixtures("lucas P=3 Q=1 range=3..50\n")  # no expect
 
 
-def test_workers_capped_at_block_count(monkeypatch):
-    # a fake pool that records its size and maps in-process, so that a huge
-    # worker count starts no process at all
-    sizes = []
+class InlinePool:
+    """A process pool stand-in that runs each task in-process as it is submitted."""
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    sizes = []  # max_workers of every pool made
+    submitted = []  # lo of every run submitted
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+    def __exit__(self, *exc):
+        return False
 
-    spec = SearchSpec("lucas", LucasParams(3, 1), 3, 3 + 3 * search.BLOCK_SPAN - 1)
-    baseline = enumerate_range(spec, workers=1)
+    def submit(self, fn, spec, lo, hi):
+        self.submitted.append(lo)
+        future = concurrent.futures.Future()
+        future.set_result(fn(spec, lo, hi))
+        return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(InlinePool, "submitted", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_workers_capped_at_block_count(inline_pool):
+    # the pool never has more processes than runs of blocks, so a huge
+    # worker count starts no more than three
+    point = PellParams.from_point(3, 8, 66)
+    spec = SearchSpec("pell", point, 3, 3 + 3 * search.RUN_SPAN - 1)
+    baseline = enumerate_range(spec, workers=1)
+    assert inline_pool.sizes == []
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert sizes == [3]
+    assert inline_pool.sizes == [3]
+    # a search of one run stays in-process
+    enumerate_range(SearchSpec("pell", point, 3, 3 + search.RUN_SPAN - 1), workers=2)
+    assert inline_pool.sizes == [3]
+
+
+def test_pool_look_ahead_is_bounded(inline_pool):
+    workers, runs = 2, 7
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + runs * search.RUN_SPAN - 1)
+    blocks = search.iter_blocks(spec, workers)
+    for i, _ in enumerate(blocks):
+        consumed_runs = i // search.RUN_BLOCKS + 1
+        assert len(inline_pool.submitted) <= consumed_runs - 1 + search.LOOKAHEAD * workers
+    assert i + 1 == runs * search.RUN_BLOCKS
+    assert inline_pool.submitted == list(range(3, spec.hi, search.RUN_SPAN))
+
+
+def test_blocks_are_made_lazily():
+    # 10^6 blocks: the first arrives without the others being built
+    lo = 10**15 + 1
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), lo, lo + 2 * 10**9)
+    hits, skips, counts = next(search.iter_blocks(spec, workers=1))
+    assert sum(counts) == search.BLOCK_SPAN // 2
 
 
 # ------------------------------------------------------------- scan parity
