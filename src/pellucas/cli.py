@@ -191,26 +191,41 @@ def cmd_enumerate(parser, args):
     return 0
 
 
+def _tally(block):
+    """Render hook for table and CSV: a block's hits, status counts and skips per code."""
+    hits, skips, counts = block
+    return hits, counts, Counter(map(itemgetter(1), skips))
+
+
+def _tally_json(block):
+    """Render hook for JSONL: ``_tally``, plus the block's skips as JSON list items."""
+    _, skips, _ = block
+    text = ", ".join([
+        _SKIP_JSON[code] % (n, "null" if factor is None else factor)
+        for n, code, factor in skips
+    ])
+    return _tally(block) + (text,)
+
+
 def _stream_blocks(spec, workers, spool):
     """Consume ``iter_blocks``; returns (hits, status counts, skips per reason).
 
-    No skip is kept: with a spool, each block's skips are written to it as
-    the JSON list items of the record, separated by ", ".
+    No skip is kept: each block is rendered in the process that scanned it,
+    and with a spool its skips are written to it as the JSON list items of
+    the record, separated by ", ".
     """
     hits = []
     counts = [0] * len(Status)
     codes = Counter()
     sep = ""
-    for part_hits, part_skips, part_counts in iter_blocks(spec, workers):
+    render = _tally if spool is None else _tally_json
+    for part_hits, part_counts, part_codes, *text in iter_blocks(spec, workers, render):
         hits.extend(part_hits)
         counts = [a + b for a, b in zip(counts, part_counts)]
-        codes.update(map(itemgetter(1), part_skips))
-        if spool is not None and part_skips:
+        codes.update(part_codes)
+        if spool is not None and text[0]:
             spool.write(sep)
-            spool.write(", ".join(
-                _SKIP_JSON[code] % (n, "null" if factor is None else factor)
-                for n, code, factor in part_skips
-            ))
+            spool.write(text[0])
             sep = ", "
     counts = {status.value: count for status, count in zip(Status, counts)}
     return hits, counts, {SKIP_REASONS[code]: count for code, count in codes.items()}

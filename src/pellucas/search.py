@@ -9,7 +9,8 @@ reports are identical for any worker count.
 Each block is one fused scan, ``kernels.scan``: a single kernel call runs
 the test on every odd n of the block and returns plain tuples.
 ``iter_blocks`` yields those tuples block by block, in block order, so a
-caller that streams them (the CLI does) holds one block at a time;
+caller that streams them (the CLI does) holds one block at a time, and can
+have each block rendered where it was scanned (in a pool worker, say);
 ``enumerate_range`` collects them and builds the ``Skip`` objects.  The
 scan is compiled when the extension is built and the block's end and the
 test parameters fit in signed 64-bit integers; otherwise it runs on the
@@ -19,6 +20,7 @@ The pure scan and the per-n tests share one decision function,
 """
 
 import os
+import zlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -87,33 +89,61 @@ class SearchReport:
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _scan_blocks(spec, lo, hi):
-    """Test every odd n in [lo, hi]; yields the plain tuples of ``kernels.scan``, block by block."""
+def _scan_blocks(spec, lo, hi, render):
+    """Test every odd n in [lo, hi]; yields each block's scan tuples, or their ``render``."""
     kind, params = spec.params.kernel_args
     for b in range(lo, hi + 1, BLOCK_SPAN):
-        yield kernels.scan(kind, spec.strong, params, b, min(b + BLOCK_SPAN - 1, hi))
+        block = kernels.scan(kind, spec.strong, params, b, min(b + BLOCK_SPAN - 1, hi))
+        yield block if render is None else render(block)
 
 
-def _scan_run(spec, lo, hi):
-    """One pool task: the blocks of a run, as a list (a generator does not pickle)."""
-    return list(_scan_blocks(spec, lo, hi))
+def _scan_run(spec, lo, hi, render):
+    """One pool task: the blocks of a run, each pickled and compressed.
+
+    Rendered as JSON text, a block of a sparse search is about 64 kB of
+    repetitive text and a run about 1 MB; compressed, a run is about 50 kB.
+    Taking in a megabyte per run, the main process's peak RSS would wander
+    by about 10% between searches and creep up with the range.
+    """
+    import pickle  # not at the top: see ``_unpack``
+
+    return [zlib.compress(pickle.dumps(block), 1) for block in _scan_blocks(spec, lo, hi, render)]
 
 
-def iter_blocks(spec, workers=1):
+def _unpack(future):
+    """Yield the blocks of a finished ``_scan_run``, one at a time."""
+    # imported here, not at the top: it adds about 3 ms to importing pellucas
+    import pickle
+
+    for packed in future.result():
+        yield pickle.loads(zlib.decompress(packed))
+
+
+def iter_blocks(spec, workers=1, render=None):
     """Yield each block's ``(hits, skips, counts)`` from ``kernels.scan``, in block order.
 
     With more than one worker, runs of ``RUN_BLOCKS`` blocks go to a
     process pool, and at most ``LOOKAHEAD`` runs per worker are in flight
     or waiting to be consumed, so memory does not grow with the range.  The
-    pool never has more processes than runs: a search of one run stays
-    in-process.  ``workers=None`` means one per core.
+    pool never has more processes than runs or cores: a search of one run
+    stays in-process.  ``workers=None`` means one per core; fewer than one
+    raises ``ValueError``.
+
+    ``render``, a module-level function (a pool task pickles it by name),
+    is applied to each block's tuple in the process that scanned the block,
+    and its result is yielded instead; a pool worker then sends back only
+    what the caller keeps.
     """
-    runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
+    cores = os.cpu_count() or 1
     if workers is None:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(runs))
+        workers = cores
+    elif workers < 1:
+        raise ValueError(f"workers must be 1 or more, got {workers}")
+    runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
+    # under fork the pool starts all its processes at the first submit
+    workers = min(workers, len(runs), cores)
     if workers <= 1:
-        yield from _scan_blocks(spec, spec.lo, spec.hi)
+        yield from _scan_blocks(spec, spec.lo, spec.hi, render)
         return
     # imported here, not at the top: it adds about 20 ms to importing pellucas
     from concurrent.futures import ProcessPoolExecutor
@@ -121,11 +151,12 @@ def iter_blocks(spec, workers=1):
     pending = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for lo in runs:
-            pending.append(pool.submit(_scan_run, spec, lo, min(lo + RUN_SPAN - 1, spec.hi)))
+            hi = min(lo + RUN_SPAN - 1, spec.hi)
+            pending.append(pool.submit(_scan_run, spec, lo, hi, render))
             if len(pending) == LOOKAHEAD * workers:
-                yield from pending.popleft().result()
+                yield from _unpack(pending.popleft())
         while pending:
-            yield from pending.popleft().result()
+            yield from _unpack(pending.popleft())
 
 
 def enumerate_range(spec, workers=1):

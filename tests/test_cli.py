@@ -85,6 +85,9 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "enumerate", "lucas", "--p", "3", "--from", "5", "--to", "3")[0] == 2
     assert run(capsys, "bridge", "21", "--from-lucas", "--p", "2")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    for workers in ("0", "-3"):
+        assert run(capsys, "enumerate", "lucas", "--p", "3", "--to", "99",
+                   "--workers", workers)[0] == 2
     # at or above the Miller-Rabin bound no verdict is deterministic
     bound = kernels.MR_DETERMINISTIC_BOUND
     above = [
@@ -251,6 +254,15 @@ def test_output_bytes_pinned(capsys, argv, exit_code, digest, workers):
     code, out = run(capsys, *argv, "--format", "jsonl", "--workers", workers)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_bytes_independent_of_workers(capsys, fmt):
+    # four runs of blocks, so --workers 2 starts a real pool
+    argv = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000", "--format", fmt]
+    one = run(capsys, *argv, "--workers", "1")
+    assert one[0] == 0
+    assert run(capsys, *argv, "--workers", "2") == one
 
 
 def test_closed_output_pipe_exits_141():

@@ -1,6 +1,7 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
 import concurrent.futures
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -174,7 +175,7 @@ class InlinePool:
     """A process pool stand-in that runs each task in-process as it is submitted."""
 
     sizes = []  # max_workers of every pool made
-    submitted = []  # lo of every run submitted
+    submitted = []  # the arguments of every task submitted: (spec, lo, hi, render)
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -185,10 +186,10 @@ class InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, spec, lo, hi):
-        self.submitted.append(lo)
+    def submit(self, fn, *args):
+        self.submitted.append(args)
         future = concurrent.futures.Future()
-        future.set_result(fn(spec, lo, hi))
+        future.set_result(fn(*args))
         return future
 
 
@@ -197,6 +198,8 @@ def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(InlinePool, "submitted", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    # many cores, so that only the tests that lower it meet the core cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     return InlinePool
 
 
@@ -214,6 +217,42 @@ def test_workers_capped_at_block_count(inline_pool):
     assert inline_pool.sizes == [3]
 
 
+def test_workers_capped_at_core_count(inline_pool, monkeypatch):
+    # the pool starts all its processes at once, so never more than one per core
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    baseline = enumerate_range(spec, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert enumerate_range(spec, workers=10**6) == baseline
+    assert enumerate_range(spec, workers=None) == baseline
+    assert inline_pool.sizes == [2, 2]
+    # an unknown core count means one: the search stays in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert enumerate_range(spec, workers=10**6) == baseline
+    assert inline_pool.sizes == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(inline_pool, workers):
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    with pytest.raises(ValueError, match="workers"):
+        enumerate_range(spec, workers=workers)
+    assert inline_pool.sizes == []
+
+
+def count_skips(block):
+    """A render hook: the block with its skips replaced by their number."""
+    hits, skips, counts = block
+    return list(hits), len(skips), tuple(counts)
+
+
+def test_blocks_are_rendered_in_the_pool_tasks(inline_pool):
+    spec = SearchSpec("pell", PellParams.from_seed(6, 4), 3, 3 + 3 * search.RUN_SPAN - 1)
+    expected = [count_skips(block) for block in search.iter_blocks(spec, 1)]
+    assert list(search.iter_blocks(spec, 2, count_skips)) == expected
+    # the hook travels with each task, so the worker renders the blocks
+    assert [args[-1] for args in inline_pool.submitted] == [count_skips] * 3
+
+
 def test_pool_look_ahead_is_bounded(inline_pool):
     workers, runs = 2, 7
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + runs * search.RUN_SPAN - 1)
@@ -222,7 +261,7 @@ def test_pool_look_ahead_is_bounded(inline_pool):
         consumed_runs = i // search.RUN_BLOCKS + 1
         assert len(inline_pool.submitted) <= consumed_runs - 1 + search.LOOKAHEAD * workers
     assert i + 1 == runs * search.RUN_BLOCKS
-    assert inline_pool.submitted == list(range(3, spec.hi, search.RUN_SPAN))
+    assert [args[1] for args in inline_pool.submitted] == list(range(3, spec.hi, search.RUN_SPAN))
 
 
 def test_blocks_are_made_lazily():
