@@ -38,8 +38,6 @@ from .lucas import (
     LucasParams,
     lucas_test,
     lucas_uv_mod,
-    oeis_variant_test,
-    selfridge_params,
     strong_lucas_test,
 )
 from .modring import Modulus, gcd, is_composite, jacobi, mod_inverse
@@ -78,14 +76,12 @@ __all__ = [
     "lucas_to_phi_params",
     "lucas_uv_mod",
     "mod_inverse",
-    "oeis_variant_test",
     "pell_pow",
     "pell_test",
     "pell_to_lucas",
     "phi",
     "reproduce",
     "roundtrip",
-    "selfridge_params",
     "strong_lucas_test",
     "strong_pell_test",
 ]

@@ -365,7 +365,7 @@ def build_parser():
 
     repro = commands.add_parser("reproduce", help="check the bundled golden fixtures")
     repro.add_argument("--only", choices=KINDS, help="restrict to one fixture kind")
-    repro.add_argument("--workers", type=int, default=None)
+    repro.add_argument("--workers", type=int, default=None, help="parallel workers (default: cores)")
     _add_format(repro)
     repro.set_defaults(func=cmd_reproduce)
 

@@ -35,18 +35,6 @@ class EnumerationBoundError(ValueError):
     """Exhaustive point counting was asked for a modulus above its bound."""
 
 
-class PerfectSquareError(ValueError):
-    """Selfridge parameter search cannot terminate on a perfect square."""
-
-
-class SharedFactorError(ValueError):
-    """A tried discriminant shares a nontrivial factor with n."""
-
-    def __init__(self, n, factor):
-        super().__init__(f"discriminant search found factor {factor} of {n}")
-        self.factor = factor
-
-
 class DegenerateDError(ValueError):
     """P = 2 gives discriminant P^2 - 4 = 0, which no test accepts."""
 

@@ -12,7 +12,7 @@ from importlib import resources
 from .conic import ConicPoint, PellParams, pell_pow
 from .lucas import LucasParams, lucas_uv_mod
 from .modring import Modulus
-from .search import SearchSpec, enumerate_range
+from .search import SearchSpec, check_workers, enumerate_range
 from .verdict import REASON_NOT_ON_CONIC
 
 KINDS = ("lucas", "pell", "pell-membership", "lucas-value", "pell-value")
@@ -138,7 +138,9 @@ def run_fixture(fixture, workers=1):
 
 def reproduce(only=None, workers=1, fixtures=None):
     """Run all (or one kind of) bundled fixtures; mismatches are reported,
-    never raised."""
+    never raised.  A worker count below 1 raises ``ValueError`` whatever
+    ``only`` selects."""
+    check_workers(workers)
     if fixtures is None:
         fixtures = load_fixtures()
     if only is not None:

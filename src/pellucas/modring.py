@@ -25,9 +25,6 @@ class Modulus:
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"modulus must be odd and >= 3, got {self.n}")
 
-    def __int__(self):
-        return self.n
-
 
 def as_modulus(n):
     """Accept an int or a Modulus, validating ints on the way in."""

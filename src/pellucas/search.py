@@ -119,6 +119,12 @@ def _unpack(future):
         yield pickle.loads(zlib.decompress(packed))
 
 
+def check_workers(workers):
+    """Reject a worker count below 1; ``None`` (one per core) passes."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be 1 or more, got {workers}")
+
+
 def iter_blocks(spec, workers=1, render=None):
     """Yield each block's ``(hits, skips, counts)`` from ``kernels.scan``, in block order.
 
@@ -134,14 +140,11 @@ def iter_blocks(spec, workers=1, render=None):
     and its result is yielded instead; a pool worker then sends back only
     what the caller keeps.
     """
+    check_workers(workers)
     cores = os.cpu_count() or 1
-    if workers is None:
-        workers = cores
-    elif workers < 1:
-        raise ValueError(f"workers must be 1 or more, got {workers}")
     runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
     # under fork the pool starts all its processes at the first submit
-    workers = min(workers, len(runs), cores)
+    workers = min(workers or cores, len(runs), cores)
     if workers <= 1:
         yield from _scan_blocks(spec, spec.lo, spec.hi, render)
         return

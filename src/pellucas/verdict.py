@@ -53,24 +53,13 @@ class TestVerdict:
         }
 
 
-def classify(n, passed, witnesses):
-    """Verdict of a test that ran on the plain int n.
-
-    A prime n is Prime whatever ``passed`` says; a composite n is a
-    Pseudoprime exactly when its congruence ``passed``.
-    """
-    if not is_composite(n):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
-    if passed:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
-
-
 def verdict(n, params, strong):
     """The per-n Lucas or Pell test of ``params``: one ``decide`` row.
 
-    Runs on the kernels of the backend that fits n.  Witnesses:
-    U_k and k, plus U_{k+1} for strong Lucas; (x, y)^k and k for Pell.
+    Runs on the kernels of the backend that fits n.  A prime n is Prime
+    whether or not its congruence holds; a composite n is a Pseudoprime
+    exactly when it holds.  Witnesses: U_k and k, plus U_{k+1} for strong
+    Lucas; (x, y)^k and k for Pell.
     """
     m = as_modulus(n).n
     kind, args = params.kernel_args
@@ -87,4 +76,8 @@ def verdict(n, params, strong):
         witnesses = {"u": u, "u_next": kernels.half((w * u + v) % m, m), "k": k}
     else:
         witnesses = {"u": u, "k": k}
-    return classify(m, passed, witnesses)
+    if not is_composite(m):
+        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
+    if passed:
+        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
+    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)

@@ -88,6 +88,9 @@ def test_usage_errors_exit_2(capsys):
     for workers in ("0", "-3"):
         assert run(capsys, "enumerate", "lucas", "--p", "3", "--to", "99",
                    "--workers", workers)[0] == 2
+    # reproduce checks --workers whether or not the selected fixtures search
+    assert run(capsys, "reproduce", "--only", "pell-value", "--workers", "0")[0] == 2
+    assert run(capsys, "reproduce", "--only", "lucas-value", "--workers", "-3")[0] == 2
     # at or above the Miller-Rabin bound no verdict is deterministic
     bound = kernels.MR_DETERMINISTIC_BOUND
     above = [

@@ -9,14 +9,10 @@ from pellucas import (
     Modulus,
     Status,
     is_composite,
-    jacobi,
     lucas_test,
     lucas_uv_mod,
-    oeis_variant_test,
-    selfridge_params,
     strong_lucas_test,
 )
-from pellucas.errors import PerfectSquareError, SharedFactorError
 
 rng = random.Random(0x5EED)
 
@@ -70,18 +66,6 @@ def test_uv_matches_recurrence():
         k = rng.randrange(0, 201)
         pair = lucas_uv_mod(LucasParams(p, q), k, n)
         assert (pair.u, pair.v) == uv_by_recurrence(p, q, k, n)
-
-
-def test_uv_identity_self_check():
-    for _ in range(200):
-        p = rng.randrange(1, 30)
-        q = rng.randrange(-15, 16)
-        if p * p == 4 * q:
-            continue
-        params = LucasParams(p, q)
-        n = rng.randrange(3, 5000) | 1
-        k = rng.randrange(0, 500)
-        assert lucas_uv_mod(params, k, n).satisfies_identity(params)
 
 
 def test_lucas_test_verdicts():
@@ -151,44 +135,3 @@ def test_strong_implies_ordinary():
             if strong.status is Status.PSEUDOPRIME:
                 assert lucas_test(n, params).status is Status.PSEUDOPRIME
 
-
-def test_selfridge_known_values():
-    assert selfridge_params(7) == LucasParams(1, -1)  # D = 5
-    assert selfridge_params(11) == LucasParams(1, -3)  # D = 13
-    with pytest.raises(PerfectSquareError):
-        selfridge_params(25)
-    with pytest.raises(SharedFactorError) as excinfo:
-        selfridge_params(15)  # D = 5 shares a factor
-    assert excinfo.value.factor == 5
-
-
-def test_selfridge_postcondition():
-    for n in range(3, 4000, 2):
-        try:
-            params = selfridge_params(n)
-        except (PerfectSquareError, SharedFactorError):
-            continue
-        assert params.p == 1
-        assert jacobi(params.d, n) == -1
-        assert params.d == 1 - 4 * params.q
-
-
-def test_oeis_variant():
-    v = oeis_variant_test(169)
-    assert v.status is Status.PSEUDOPRIME
-    v = oeis_variant_test(13)
-    assert v.status is Status.PRIME
-    # U_9(2,-1) = 985 = 4 mod 9, but (2/9) = 1
-    v = oeis_variant_test(9)
-    assert v.status is Status.COMPOSITE_DETECTED
-    assert v.witnesses == {"u": 4, "target": 1}
-
-
-def test_oeis_variant_first_terms():
-    # frozen from a direct-recurrence oracle over the same range
-    hits = [
-        n
-        for n in range(3, 1200, 2)
-        if oeis_variant_test(n).status is Status.PSEUDOPRIME
-    ]
-    assert hits == [169, 385, 741, 961, 1121]
