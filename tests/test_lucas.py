@@ -68,6 +68,20 @@ def test_uv_matches_recurrence():
         assert (pair.u, pair.v) == uv_by_recurrence(p, q, k, n)
 
 
+def test_uv_identity_self_check():
+    # V_k^2 - D U_k^2 = 4 Q^k: (V_k/2, U_k/2) lies on the conic of norm Q^k
+    for _ in range(200):
+        p = rng.randrange(1, 30)
+        q = rng.randrange(-15, 16)
+        if p * p == 4 * q:
+            continue
+        params = LucasParams(p, q)
+        n = rng.randrange(3, 5000) | 1
+        k = rng.randrange(0, 500)
+        pair = lucas_uv_mod(params, k, n)
+        assert (pair.v * pair.v - params.d * pair.u * pair.u) % n == 4 * pow(q, k, n) % n
+
+
 def test_lucas_test_verdicts():
     v = lucas_test(21, LucasParams(3, 1))
     assert v.status is Status.PSEUDOPRIME

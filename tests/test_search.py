@@ -153,6 +153,13 @@ def test_reproduce_filtering():
     assert len(reproduce(only="pell-value", workers=1)) == 2
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_reproduce_rejects_workers_below_one(workers):
+    # pell-value fixtures never search, so the check must come first
+    with pytest.raises(ValueError, match=f"workers must be 1 or more, got {workers}"):
+        reproduce(only="pell-value", workers=workers)
+
+
 def test_corrupted_fixture_is_flagged():
     fixtures = parse_fixtures(
         "pell-value D=5 x=12 y=11 n=21 e=20 expect=13,1\n"
