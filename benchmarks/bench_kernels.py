@@ -1,33 +1,13 @@
-#!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Kernel inputs that perfbench rates on each backend.
 
-Times the four hot kernels on identical workloads per backend and prints
-a table with the speedup.  Build the extension in place, then run from the
-root of a checkout:
-
-    python setup.py build_ext --inplace
-    PYTHONPATH=src python benchmarks/bench_kernels.py [--seconds 0.5]
+``perfbench/worker.py`` loads this file by path and times every kernel of
+``workloads()`` on each backend; a traced run
+(``python3 perfbench/run.py --trace 1``) prints the rates as
+``kernels.pure.*.ops_s`` and, for the backend picked at import,
+``kernels.active.*.ops_s``.
 """
 
-import argparse
 import random
-import time
-
-from pellucas import kernels
-
-
-def timed(func, args_iter, min_seconds):
-    """Run func over cycling args until min_seconds elapse; return ops/s."""
-    args = list(args_iter)
-    count = 0
-    start = time.perf_counter()
-    elapsed = 0.0
-    while elapsed < min_seconds:
-        for a in args:
-            func(*a)
-        count += len(args)
-        elapsed = time.perf_counter() - start
-    return count / elapsed
 
 
 def workloads(seed=20250810):
@@ -45,31 +25,3 @@ def workloads(seed=20250810):
         "is_prime (60-bit n)": ("is_prime", prime_args),
         "closed_form_sweep (small box)": ("closed_form_sweep", sweep_args),
     }
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seconds", type=float, default=0.5,
-                        help="minimum sampling time per case (default 0.5)")
-    args = parser.parse_args()
-
-    backends = kernels.backends()
-    if "compiled" not in backends:
-        print("compiled backend not available; run python setup.py build_ext --inplace")
-    names = list(backends)
-    print(f"active dispatch backend: {kernels.BACKEND}")
-    header = f"{'workload':34}" + "".join(f"{n + ' ops/s':>18}" for n in names)
-    if len(names) == 2:
-        header += f"{'speedup':>10}"
-    print(header)
-    print("-" * len(header))
-    for label, (fname, fargs) in workloads().items():
-        rates = [timed(getattr(backends[n], fname), fargs, args.seconds) for n in names]
-        row = f"{label:34}" + "".join(f"{r:18.1f}" for r in rates)
-        if len(rates) == 2:
-            row += f"{rates[1] / rates[0]:9.1f}x"
-        print(row)
-
-
-if __name__ == "__main__":
-    main()

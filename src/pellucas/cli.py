@@ -92,46 +92,33 @@ def _parse_modulus(parser, n):
     return Modulus(n)
 
 
-def cmd_lucas_test(parser, args):
-    n = _parse_modulus(parser, args.n)
-    params = LucasParams(args.p, args.q)
-    test = strong_lucas_test if args.strong else lucas_test
-    verdict = test(n, params)
-    rec = _record(
-        "lucas-test",
-        n=args.n,
-        p=args.p,
-        q=args.q,
-        strong=args.strong,
-        **verdict.to_dict(),
-    )
-    line = (
-        f"n={args.n} P={args.p} Q={args.q}"
-        f"{' strong' if args.strong else ''} -> {verdict.status.value}"
-        f" ({verdict.reason}) {_witness_text(verdict.witnesses)}"
-    )
-    _emit([rec], args.format, [line.rstrip()])
-    return 0
+def _params(parser, args):
+    """The test parameters named by the flags, and the flags to show: (params, shown)."""
+    if args.kind == "lucas":
+        if args.p is None:
+            parser.error("lucas enumeration needs --p (and optionally --q)")
+        return LucasParams(args.p, args.q), {"p": args.p, "q": args.q}
+    if args.d is None:
+        parser.error("pell enumeration needs --d plus --x/--y or --a")
+    shown = {"d": args.d}
+    shown.update({"x": args.x, "y": args.y} if args.a is None else {"a": args.a})
+    return PellParams(args.d, x=args.x, y=args.y, a=args.a), shown
 
 
-def cmd_pell_test(parser, args):
+def cmd_test(parser, args):
     n = _parse_modulus(parser, args.n)
-    params = PellParams(args.d, x=args.x, y=args.y, a=args.a)
-    test = strong_pell_test if args.strong else pell_test
+    params, shown = _params(parser, args)
+    # the functions are looked up by name on each call, so that a wrapper
+    # bound to the module attribute (a tracer, a test) sees the call
+    if args.kind == "lucas":
+        test = strong_lucas_test if args.strong else lucas_test
+    else:
+        test = strong_pell_test if args.strong else pell_test
     verdict = test(n, params)
-    source = {"x": args.x, "y": args.y} if args.a is None else {"a": args.a}
-    rec = _record(
-        "pell-test",
-        n=args.n,
-        d=args.d,
-        **source,
-        strong=args.strong,
-        **verdict.to_dict(),
-    )
-    src = f"x={args.x} y={args.y}" if args.a is None else f"a={args.a}"
+    rec = _record(args.command, n=args.n, **shown, strong=args.strong, **verdict.to_dict())
+    flags = " ".join(f"{k.upper() if k in 'pqd' else k}={v}" for k, v in shown.items())
     line = (
-        f"n={args.n} D={args.d} {src}"
-        f"{' strong' if args.strong else ''} -> {verdict.status.value}"
+        f"n={args.n} {flags}{' strong' if args.strong else ''} -> {verdict.status.value}"
         f" ({verdict.reason}) {_witness_text(verdict.witnesses)}"
     )
     _emit([rec], args.format, [line.rstrip()])
@@ -139,17 +126,7 @@ def cmd_pell_test(parser, args):
 
 
 def cmd_enumerate(parser, args):
-    if args.kind == "lucas":
-        if args.p is None:
-            parser.error("lucas enumeration needs --p (and optionally --q)")
-        params = LucasParams(args.p, args.q)
-        shown = {"p": args.p, "q": args.q}
-    else:
-        if args.d is None:
-            parser.error("pell enumeration needs --d plus --x/--y or --a")
-        params = PellParams(args.d, x=args.x, y=args.y, a=args.a)
-        shown = {"d": args.d}
-        shown.update({"x": args.x, "y": args.y} if args.a is None else {"a": args.a})
+    params, shown = _params(parser, args)
     spec = SearchSpec(args.kind, params, args.lo, args.to, args.strong)
     if args.format == "jsonl":
         # the skips go to a spool as text, block by block, and from there
@@ -323,7 +300,7 @@ def build_parser():
     lucas.add_argument("--q", type=int, default=1, help="sequence parameter Q (default 1)")
     lucas.add_argument("--strong", action="store_true", help="also require U_{k+1} = 1")
     _add_format(lucas)
-    lucas.set_defaults(func=cmd_lucas_test)
+    lucas.set_defaults(func=cmd_test, kind="lucas")
 
     pell = commands.add_parser("pell-test", help="Pell conic test for one odd n")
     pell.add_argument("n", type=int)
@@ -333,7 +310,7 @@ def build_parser():
     pell.add_argument("--a", type=int, help="parametrization seed")
     pell.add_argument("--strong", action="store_true", help="require the full identity point")
     _add_format(pell)
-    pell.set_defaults(func=cmd_pell_test)
+    pell.set_defaults(func=cmd_test, kind="pell")
 
     enum = commands.add_parser("enumerate", help="search a range for pseudoprimes")
     enum.add_argument("kind", choices=("lucas", "pell"))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -53,27 +54,63 @@ def test_lucas_test_prime(capsys):
 
 
 def test_single_test_jsonl_bytes(capsys):
-    # exact lines, so witness and key order are pinned as well as values
+    # exact output, so witness and key order are pinned as well as values,
+    # and so are the table's P=, Q= and D= labels
     cases = [
-        (["lucas-test", "21", "--p", "3"],
-         '{"schema": 1, "command": "lucas-test", "n": 21, "p": 3, "q": 1, "strong": false, '
-         '"status": "Pseudoprime", "reason": "congruence-holds", '
-         '"witnesses": {"u": 0, "k": 20}}'),
-        (["lucas-test", "323", "--p", "3", "--strong"],
-         '{"schema": 1, "command": "lucas-test", "n": 323, "p": 3, "q": 1, "strong": true, '
-         '"status": "Pseudoprime", "reason": "congruence-holds", '
-         '"witnesses": {"u": 0, "u_next": 1, "k": 324}}'),
-        (["pell-test", "85", "--d", "3", "--a", "4", "--strong"],
-         '{"schema": 1, "command": "pell-test", "n": 85, "d": 3, "a": 4, "strong": true, '
-         '"status": "Pseudoprime", "reason": "congruence-holds", '
-         '"witnesses": {"x": 1, "y": 0, "k": 84}}'),
-        (["pell-test", "21", "--d", "5", "--x", "163", "--y", "162"],
-         '{"schema": 1, "command": "pell-test", "n": 21, "d": 5, "x": 163, "y": 162, '
-         '"strong": false, "status": "NotApplicable", "reason": "point-not-on-conic", '
-         '"witnesses": {}}'),
+        (["lucas-test", "21", "--p", "3"], {
+            "jsonl": '{"schema": 1, "command": "lucas-test", "n": 21, "p": 3, "q": 1, '
+                     '"strong": false, "status": "Pseudoprime", "reason": "congruence-holds", '
+                     '"witnesses": {"u": 0, "k": 20}}\n',
+            "table": "n=21 P=3 Q=1 -> Pseudoprime (congruence-holds) u=0 k=20\n",
+            "csv": "schema,command,n,p,q,strong,status,reason,witnesses\r\n"
+                   "1,lucas-test,21,3,1,False,Pseudoprime,congruence-holds,u=0;k=20\r\n",
+        }),
+        (["lucas-test", "323", "--p", "3", "--strong"], {
+            "jsonl": '{"schema": 1, "command": "lucas-test", "n": 323, "p": 3, "q": 1, '
+                     '"strong": true, "status": "Pseudoprime", "reason": "congruence-holds", '
+                     '"witnesses": {"u": 0, "u_next": 1, "k": 324}}\n',
+            "table": "n=323 P=3 Q=1 strong -> Pseudoprime (congruence-holds) u=0 u_next=1 k=324\n",
+            "csv": "schema,command,n,p,q,strong,status,reason,witnesses\r\n"
+                   "1,lucas-test,323,3,1,True,Pseudoprime,congruence-holds,u=0;u_next=1;k=324\r\n",
+        }),
+        (["pell-test", "85", "--d", "3", "--a", "4", "--strong"], {
+            "jsonl": '{"schema": 1, "command": "pell-test", "n": 85, "d": 3, "a": 4, '
+                     '"strong": true, "status": "Pseudoprime", "reason": "congruence-holds", '
+                     '"witnesses": {"x": 1, "y": 0, "k": 84}}\n',
+            "table": "n=85 D=3 a=4 strong -> Pseudoprime (congruence-holds) x=1 y=0 k=84\n",
+            "csv": "schema,command,n,d,a,strong,status,reason,witnesses\r\n"
+                   "1,pell-test,85,3,4,True,Pseudoprime,congruence-holds,x=1;y=0;k=84\r\n",
+        }),
+        (["pell-test", "21", "--d", "5", "--x", "163", "--y", "162"], {
+            "jsonl": '{"schema": 1, "command": "pell-test", "n": 21, "d": 5, "x": 163, '
+                     '"y": 162, "strong": false, "status": "NotApplicable", '
+                     '"reason": "point-not-on-conic", "witnesses": {}}\n',
+            "table": "n=21 D=5 x=163 y=162 -> NotApplicable (point-not-on-conic)\n",
+            "csv": "schema,command,n,d,x,y,strong,status,reason,witnesses\r\n"
+                   "1,pell-test,21,5,163,162,False,NotApplicable,point-not-on-conic,\r\n",
+        }),
     ]
-    for argv, line in cases:
-        assert run(capsys, *argv, "--format", "jsonl") == (0, line + "\n")
+    for argv, outputs in cases:
+        for fmt, out in outputs.items():
+            assert run(capsys, *argv, "--format", fmt) == (0, out)
+
+
+def test_single_tests_call_the_module_level_functions(capsys, monkeypatch):
+    # perfbench's traced run counts these calls by rebinding the module
+    # attributes, so each command must look its test up there when it runs
+    names = ["lucas_test", "strong_lucas_test", "pell_test", "strong_pell_test"]
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _test=getattr(cli, name)):
+            calls[_name] += 1
+            return _test(*args)
+        monkeypatch.setattr(cli, name, counted)
+    for argv in (["lucas-test", "21", "--p", "3"],
+                 ["lucas-test", "21", "--p", "3", "--strong"],
+                 ["pell-test", "85", "--d", "3", "--a", "4"],
+                 ["pell-test", "85", "--d", "3", "--a", "4", "--strong"]):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_usage_errors_exit_2(capsys):
