@@ -136,13 +136,12 @@ def run_fixture(fixture, workers=1):
     return FixtureResult(fixture, actual, passed, note)
 
 
-def reproduce(only=None, workers=1, fixtures=None):
-    """Run all (or one kind of) bundled fixtures; mismatches are reported,
-    never raised.  A worker count below 1 raises ``ValueError`` whatever
-    ``only`` selects."""
+def reproduce(only=None, workers=1):
+    """Run all (or one kind of) the bundled fixtures of ``load_fixtures``;
+    mismatches are reported, never raised.  A worker count below 1 raises
+    ``ValueError`` whatever ``only`` selects."""
     check_workers(workers)
-    if fixtures is None:
-        fixtures = load_fixtures()
+    fixtures = load_fixtures()
     if only is not None:
         fixtures = [f for f in fixtures if f.kind == only]
     return [run_fixture(f, workers) for f in fixtures]

@@ -11,17 +11,17 @@ the test on every odd n of the block and returns plain tuples.
 ``iter_blocks`` yields those tuples block by block, in block order, so a
 caller that streams them (the CLI does) holds one block at a time, and can
 have each block rendered where it was scanned (in a pool worker, say);
-``enumerate_range`` collects them and builds the ``Skip`` objects.  The
-scan is compiled when the extension is built and the block's end and the
-test parameters fit in signed 64-bit integers; otherwise it runs on the
-pure-Python kernels.
+``enumerate_range`` collects them, naming each skip's reason in a ``Skip``
+namedtuple.  The scan is compiled when the extension is built and the
+block's end and the test parameters fit in signed 64-bit integers;
+otherwise it runs on the pure-Python kernels.
 The pure scan and the per-n tests share one decision function,
 ``_kernels_py.decide``; the C scan mirrors it.
 """
 
 import os
 import zlib
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from . import kernels
@@ -67,13 +67,8 @@ class SearchSpec:
             )
 
 
-@dataclass(frozen=True)
-class Skip:
-    """An odd n the test did not apply to, with the machine-readable reason."""
-
-    n: int
-    reason: str
-    factor: int = None
+# An odd n the test did not apply to, with the machine-readable reason.
+Skip = namedtuple("Skip", "n reason factor", defaults=(None,))
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,8 @@ def enumerate_range(spec, workers=1):
     """Run the spec over its range, fanning blocks out to worker processes.
 
     Results are merged in block order, so the report is identical for any
-    ``workers`` value; see ``iter_blocks``.
+    ``workers`` value; see ``iter_blocks``.  Each skip is a ``Skip``
+    namedtuple ``(n, reason, factor)``.
     """
     hits = []
     skips = []

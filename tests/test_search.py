@@ -1,7 +1,9 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
 import concurrent.futures
+import hashlib
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from pellucas import (
     LucasParams,
     PellParams,
     SearchSpec,
+    Skip,
     Status,
     enumerate_range,
     kernels,
@@ -117,6 +120,38 @@ def test_parallel_determinism():
         for workers in (2, 8):
             report = enumerate_range(spec, workers=workers)
             assert report == baseline
+
+
+# sha256 of repr(enumerate_range(spec, workers)); equal for every worker
+# count and on both kernel backends, so any change to the library report
+# (its skips' repr included) shows here.  Over 3..100000 there are four runs
+# of blocks, so workers 2 starts a real pool.
+REPORT_DIGESTS = [
+    (SearchSpec("lucas", LucasParams(3, 1), 3, 100_000),
+     "e1f3c051af3a66b0892acf1fe59e57e921aa6bdd26d5427ed0cd6194091afdb0"),
+    (SearchSpec("pell", PellParams.from_seed(6, 4), 3, 100_000, strong=True),
+     "d607dfabbb368a6e42a7e22dc741a6f54da6831af8c139eeeeab7966bb625baa"),
+    (SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 100_000),
+     "cde4c4f0b71249603d784a709e4956bee4e0b311aed3f05842656919bd7bb931"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec,digest", REPORT_DIGESTS)
+def test_report_bytes_pinned(spec, digest, workers):
+    report = enumerate_range(spec, workers)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
+
+
+def test_skip_is_a_plain_record():
+    skip = Skip(15, "gcd-failure", 3)
+    n, reason, factor = skip
+    assert (n, reason, factor) == (15, "gcd-failure", 3)
+    assert skip == (15, "gcd-failure", 3)
+    assert Skip(7, "point-not-on-conic").factor is None
+    assert pickle.loads(pickle.dumps(skip)) == skip
+    assert repr(skip) == "Skip(n=15, reason='gcd-failure', factor=3)"
+    assert repr(Skip(7, "jacobi-zero")) == "Skip(n=7, reason='jacobi-zero', factor=None)"
 
 
 def test_fixture_parsing_and_labels():
