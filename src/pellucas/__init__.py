@@ -40,7 +40,7 @@ from .lucas import (
     lucas_uv_mod,
     strong_lucas_test,
 )
-from .modring import Modulus, gcd, is_composite, jacobi, mod_inverse
+from .modring import gcd, is_composite, jacobi, mod_inverse
 from .search import SearchReport, SearchSpec, Skip, enumerate_range
 from .verdict import Status, TestVerdict
 
@@ -53,7 +53,6 @@ __all__ = [
     "FixtureResult",
     "LucasPair",
     "LucasParams",
-    "Modulus",
     "PellParams",
     "SearchReport",
     "SearchSpec",

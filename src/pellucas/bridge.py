@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
-from .errors import DegenerateDError, NotOnConicError, ZeroPError
+from .errors import DegenerateDError, MixedContextError, NotOnConicError, ZeroPError
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import as_modulus, mod_inverse
 from .verdict import TestVerdict
@@ -32,9 +32,8 @@ def lucas_to_pell(p, n):
         raise DegenerateDError("P = 2 gives d = P^2 - 4 = 0")
     if p <= 0:
         raise ValueError(f"P must be positive, got {p}")
-    n = as_modulus(n)
     inv2 = mod_inverse(2, n)
-    return PellParams.from_point(p * p - 4, p * inv2 % n.n, inv2)
+    return PellParams.from_point(p * p - 4, p * inv2 % n, inv2)
 
 
 def pell_to_lucas(point):
@@ -46,9 +45,9 @@ def pell_to_lucas(point):
     below n, and ``DegenerateDError`` when the lift is 2 (x = 1, e.g. the
     identity point), since P = 2, Q = 1 has discriminant zero.
     """
-    p = 2 * point.x % point.n.n
+    p = 2 * point.x % point.n
     if p == 0:
-        raise ZeroPError(f"2x = 0 mod {point.n.n} for point ({point.x}, {point.y})")
+        raise ZeroPError(f"2x = 0 mod {point.n} for point ({point.x}, {point.y})")
     if p == 2:
         raise DegenerateDError(
             f"point ({point.x}, {point.y}) maps to P = 2, whose discriminant is zero"
@@ -87,11 +86,10 @@ def check_closed_form(x, y, d, k, n):
     if d == 0:
         raise ValueError("conic parameter d must be nonzero")
     n = as_modulus(n)
-    m = n.n
-    power = kernels.pell_pow(x, y, d, k, m)
+    power = kernels.pell_pow(x, y, d, k, n)
     p, q = 2 * x, x * x - d * y * y
-    u, v = kernels.lucas_uv(p, q, k, m)
-    closed = (kernels.half(v, m), y * u % m)
+    u, v = kernels.lucas_uv(p, q, k, n)
+    closed = (kernels.half(v, n), y * u % n)
     return ClosedFormCheck(power == closed, power, closed)
 
 
@@ -143,7 +141,7 @@ def roundtrip(n, p, strong=False):
         # only reachable when p = 0 or 2 mod n; the report stays total
         pass
     return BridgeReport(
-        "lucas-to-pell", n.n, lucas_params, pell_params,
+        "lucas-to-pell", n, lucas_params, pell_params,
         lucas_verdict, pell_verdict, recovered, strong,
     )
 
@@ -153,12 +151,14 @@ def from_pell(n, point, strong=False):
     n = as_modulus(n)
     if not isinstance(point, ConicPoint):
         raise TypeError("from_pell expects a ConicPoint")
+    if point.n != n:
+        raise MixedContextError(f"the point is taken mod {point.n}, not mod {n}")
     pell_params = PellParams.from_point(point.d, point.x, point.y)
     lucas_params = pell_to_lucas(point)
     ltest = strong_lucas_test if strong else lucas_test
     ptest = strong_pell_test if strong else pell_test
     return BridgeReport(
-        "pell-to-lucas", n.n, lucas_params, pell_params,
+        "pell-to-lucas", n, lucas_params, pell_params,
         ltest(n, lucas_params), ptest(n, pell_params),
         lucas_params.p, strong,
     )

@@ -28,7 +28,7 @@ from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .fixtures import KINDS, reproduce
 from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
-from .modring import Modulus
+from .modring import as_modulus
 from .search import SearchSpec, iter_blocks
 from .verdict import SKIP_REASONS, Status
 
@@ -89,7 +89,7 @@ def _parse_modulus(parser, n):
     # primality, which the tests refuse above the bound, is asked
     if n >= MR_DETERMINISTIC_BOUND:
         parser.error(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
-    return Modulus(n)
+    return as_modulus(n)
 
 
 def _params(parser, args):

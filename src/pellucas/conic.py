@@ -21,7 +21,7 @@ from .errors import (
     NotOnConicError,
     PhiUndefinedError,
 )
-from .modring import Modulus, as_modulus, is_composite
+from .modring import as_modulus, is_composite
 from .verdict import verdict
 
 
@@ -43,22 +43,22 @@ class ConicPoint:
     x: int
     y: int
     d: int
-    n: Modulus
+    n: int
 
     def __post_init__(self):
+        n = as_modulus(self.n)
         if self.d == 0:
             raise ValueError("conic parameter d must be nonzero")
-        m = self.n.n
-        object.__setattr__(self, "x", self.x % m)
-        object.__setattr__(self, "y", self.y % m)
-        if not is_member(self.x, self.y, self.d, m):
+        object.__setattr__(self, "x", self.x % n)
+        object.__setattr__(self, "y", self.y % n)
+        if not is_member(self.x, self.y, self.d, n):
             raise NotOnConicError(
-                f"({self.x}, {self.y}) is not on x^2 - {self.d} y^2 = 1 mod {m}"
+                f"({self.x}, {self.y}) is not on x^2 - {self.d} y^2 = 1 mod {n}"
             )
 
     @classmethod
     def identity(cls, d, n):
-        return cls(1, 0, d, as_modulus(n))
+        return cls(1, 0, d, n)
 
     def inverse(self):
         return ConicPoint(self.x, -self.y, self.d, self.n)
@@ -71,17 +71,17 @@ def brahmagupta_mul(p1, p2):
     """Compose two points; closure holds whenever the inputs are members."""
     if p1.d != p2.d or p1.n != p2.n:
         raise MixedContextError(
-            f"cannot compose points with d={p1.d} mod {p1.n.n} and d={p2.d} mod {p2.n.n}"
+            f"cannot compose points with d={p1.d} mod {p1.n} and d={p2.d} mod {p2.n}"
         )
-    m = p1.n.n
-    x = (p1.x * p2.x + p1.d * p1.y * p2.y) % m
-    y = (p1.x * p2.y + p2.x * p1.y) % m
-    return ConicPoint(x, y, p1.d, p1.n)
+    n = p1.n
+    x = (p1.x * p2.x + p1.d * p1.y * p2.y) % n
+    y = (p1.x * p2.y + p2.x * p1.y) % n
+    return ConicPoint(x, y, p1.d, n)
 
 
 def pell_pow(point, e):
     """point^(x)e by square-and-multiply; e = 0 gives the identity."""
-    x, y = kernels.pell_pow(point.x, point.y, point.d, e, point.n.n)
+    x, y = kernels.pell_pow(point.x, point.y, point.d, e, point.n)
     return ConicPoint(x, y, point.d, point.n)
 
 
@@ -95,11 +95,11 @@ def phi(a, d, n):
     if d == 0:
         raise ValueError("conic parameter d must be nonzero")
     n = as_modulus(n)
-    t = (a * a - d) % n.n
-    g = gcd(t, n.n)
+    t = (a * a - d) % n
+    g = gcd(t, n)
     if g != 1:
-        raise PhiUndefinedError(a, d, n.n, g)
-    inv = pow(t, -1, n.n)
+        raise PhiUndefinedError(a, d, n, g)
+    inv = pow(t, -1, n)
     return ConicPoint((a * a + d) * inv, 2 * a * inv, d, n)
 
 
@@ -146,7 +146,6 @@ class PellParams:
 
     def resolve(self, n):
         """Concrete ConicPoint mod n; may raise NotOnConicError/PhiUndefinedError."""
-        n = as_modulus(n)
         if self.has_seed:
             return phi(self.a, self.d, n)
         return ConicPoint(self.x, self.y, self.d, n)

@@ -50,7 +50,7 @@ class LucasPair:
 
 def lucas_uv_mod(params, k, n):
     """Evaluate (U_k, V_k) mod n in O(log k) ring operations."""
-    return LucasPair(*kernels.lucas_uv(params.p, params.q, k, as_modulus(n).n))
+    return LucasPair(*kernels.lucas_uv(params.p, params.q, k, as_modulus(n)))
 
 
 def lucas_test(n, params):

@@ -1,34 +1,24 @@
 """Exact modular arithmetic primitives shared by every test.
 
-The residue ring is always Z_n for an odd modulus n >= 3.  Evenness and
-tiny moduli are rejected once per public call, when ``as_modulus`` turns
-an int into a ``Modulus``; a ``Modulus`` passes through it unchecked, and
-the kernels get the plain int ``n.n``, so nothing below re-validates.
+The residue ring is always Z_n for an odd modulus n >= 3, and n is a
+plain int.  Evenness and tiny moduli are rejected by ``as_modulus`` in
+each public call and each ``ConicPoint``; the kernels take n as it is and
+re-validate nothing.
 """
 
-from dataclasses import dataclass
 from math import gcd  # noqa: F401  (gcd is part of the public API)
 
 from . import kernels
 from .errors import NotInvertibleError
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """An odd integer n >= 3 defining the ring Z_n."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"modulus must be an integer, got {self.n!r}")
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"modulus must be odd and >= 3, got {self.n}")
-
-
 def as_modulus(n):
-    """Accept an int or a Modulus, validating ints on the way in."""
-    return n if isinstance(n, Modulus) else Modulus(n)
+    """n itself, once checked to be an int (not a bool), odd and >= 3."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"modulus must be an integer, got {n!r}")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"modulus must be odd and >= 3, got {n}")
+    return n
 
 
 def mod_inverse(a, n):
@@ -38,10 +28,10 @@ def mod_inverse(a, n):
     exists; that gcd may be a nontrivial factor of n.
     """
     n = as_modulus(n)
-    g = gcd(a, n.n)
+    g = gcd(a, n)
     if g != 1:
-        raise NotInvertibleError(a, n.n, g)
-    return pow(a, -1, n.n)
+        raise NotInvertibleError(a, n, g)
+    return pow(a, -1, n)
 
 
 def jacobi(a, n):
@@ -49,7 +39,7 @@ def jacobi(a, n):
 
     Any integer a is accepted: the symbol depends only on a mod n.
     """
-    return kernels.jacobi(a, as_modulus(n).n)
+    return kernels.jacobi(a, as_modulus(n))
 
 
 def is_composite(n):

@@ -61,7 +61,7 @@ def verdict(n, params, strong):
     exactly when it holds.  Witnesses: U_k and k, plus U_{k+1} for strong
     Lucas; (x, y)^k and k for Pell.
     """
-    m = as_modulus(n).n
+    m = as_modulus(n)
     kind, args = params.kernel_args
     backend = kernels.backend_for(m)
     skips, tested = decide(kind, strong, args, (m,), backend.jacobi, backend.lucas_uv)

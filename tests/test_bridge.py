@@ -7,7 +7,6 @@ import pytest
 from pellucas import (
     ConicPoint,
     LucasParams,
-    Modulus,
     Status,
     check_closed_form,
     closed_form_sweep,
@@ -20,7 +19,7 @@ from pellucas import (
     phi,
     roundtrip,
 )
-from pellucas.errors import DegenerateDError, PhiUndefinedError, ZeroPError
+from pellucas.errors import DegenerateDError, MixedContextError, PhiUndefinedError, ZeroPError
 
 rng = random.Random(0xB41D6E)
 
@@ -48,7 +47,7 @@ def test_lucas_to_pell_point_is_member():
 
 
 def test_pell_to_lucas_known_values():
-    n = Modulus(85)
+    n = 85
     assert pell_to_lucas(ConicPoint(8, 66, 3, n)) == LucasParams(16, 1)
     assert pell_to_lucas(ConicPoint(7, 4, 3, n)) == LucasParams(14, 1)
     # x = 0 cannot lift: (0, 1) lies on the d = -1 conic for every n
@@ -149,11 +148,17 @@ def test_roundtrip_not_applicable_disagrees():
 
 
 def test_from_pell_report():
-    rep = from_pell(85, ConicPoint(8, 66, 3, Modulus(85)))
+    rep = from_pell(85, ConicPoint(8, 66, 3, 85))
     assert rep.direction == "pell-to-lucas"
     assert rep.lucas_params == LucasParams(16, 1)
     assert rep.agreement
     assert rep.lucas_verdict.status is Status.PSEUDOPRIME
+
+
+def test_from_pell_rejects_a_point_of_another_modulus():
+    # both tests run mod 87, so a P recovered mod 85 would not belong to them
+    with pytest.raises(MixedContextError):
+        from_pell(87, ConicPoint(8, 66, 3, 85))
 
 
 def test_correspondence_forward_and_backward_sample():

@@ -6,7 +6,6 @@ import pytest
 
 from pellucas import (
     ConicPoint,
-    Modulus,
     PellParams,
     Status,
     brahmagupta_mul,
@@ -45,7 +44,7 @@ def random_member_points(count):
 
 
 def test_point_construction():
-    n = Modulus(85)
+    n = 85
     pt = ConicPoint(8, 66, 3, n)
     assert pt.coords() == (8, 66)
     # coordinates reduce mod n
@@ -53,9 +52,16 @@ def test_point_construction():
     with pytest.raises(NotOnConicError):
         ConicPoint(8, 65, 3, n)
     # (163, 162) lies on the conic mod 323 but not mod 21
-    ConicPoint(163, 162, 5, Modulus(323))
+    ConicPoint(163, 162, 5, 323)
     with pytest.raises(NotOnConicError):
-        ConicPoint(163, 162, 5, Modulus(21))
+        ConicPoint(163, 162, 5, 21)
+
+
+def test_point_takes_a_plain_int_modulus():
+    pt = ConicPoint(8, 66, 3, 85)
+    assert pt == phi(4, 3, 85)
+    assert type(pt.n) is int
+    assert repr(pt) == "ConicPoint(x=8, y=66, d=3, n=85)"
 
 
 def test_identity_and_inverse():
@@ -82,26 +88,26 @@ def test_associativity_and_closure():
 
 
 def test_mixed_context_rejected():
-    a = ConicPoint(8, 66, 3, Modulus(85))
-    b = ConicPoint(7, 4, 3, Modulus(87))
+    a = ConicPoint(8, 66, 3, 85)
+    b = ConicPoint(7, 4, 3, 87)
     with pytest.raises(MixedContextError):
         brahmagupta_mul(a, b)
-    c = ConicPoint(1, 0, 5, Modulus(85))
+    c = ConicPoint(1, 0, 5, 85)
     with pytest.raises(MixedContextError):
         brahmagupta_mul(a, c)
 
 
 def test_square_by_hand():
-    pt = ConicPoint(8, 66, 3, Modulus(85))
+    pt = ConicPoint(8, 66, 3, 85)
     sq = brahmagupta_mul(pt, pt)
     # (8*8 + 3*66*66, 2*8*66) = (13132, 1056) = (42, 36) mod 85
     assert sq.coords() == (42, 36)
 
 
 def test_pow_known_values():
-    pt = ConicPoint(12, 11, 5, Modulus(21))
+    pt = ConicPoint(12, 11, 5, 21)
     assert pell_pow(pt, 20).coords() == (13, 0)
-    pt = ConicPoint(7, 4, 3, Modulus(85))
+    pt = ConicPoint(7, 4, 3, 85)
     assert pell_pow(pt, 84).coords() == (76, 15)
     assert pell_pow(pt, 0).coords() == (1, 0)
 

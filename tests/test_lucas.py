@@ -6,7 +6,6 @@ import pytest
 
 from pellucas import (
     LucasParams,
-    Modulus,
     Status,
     is_composite,
     lucas_test,
@@ -52,7 +51,7 @@ def test_uv_known_values():
 
 def test_u20_exact_integer():
     # modulus far above the value, so the residue is the integer itself
-    big = Modulus(10**18 + 9)
+    big = 10**18 + 9
     assert lucas_uv_mod(LucasParams(3, 1), 20, big).u == 102334155
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pellucas import Modulus, gcd, is_composite, jacobi, mod_inverse
+from pellucas import ConicPoint, LucasParams, gcd, is_composite, jacobi, lucas_uv_mod, mod_inverse
+from pellucas.modring import as_modulus
 from pellucas.errors import NotInvertibleError
 
 rng = random.Random(0xC0FFEE)
@@ -26,10 +27,19 @@ def test_gcd_against_divisor_scan():
 
 
 def test_modulus_validation():
-    for bad in (20, 2, 1, 0, -7, 9.0):
-        with pytest.raises(ValueError):
-            Modulus(bad)
-    assert Modulus(21).n == 21
+    entry_points = (
+        as_modulus,
+        lambda n: jacobi(2, n),
+        lambda n: lucas_uv_mod(LucasParams(3, 1), 5, n),
+        lambda n: ConicPoint(1, 0, 3, n),
+    )
+    for bad in (20, 2, 1, 0, -7, 9.0, True):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="modulus must be"):
+                call(bad)
+    assert as_modulus(21) == 21
+    assert type(as_modulus(21)) is int
+    assert ConicPoint(1, 0, 3, 21).n == 21
 
 
 def test_mod_inverse_values():
