@@ -1,7 +1,7 @@
 /* Compiled modular kernels.
  *
  * Mirrors _kernels_py step for step for moduli below 2**63 (scan mirrors
- * _kernels_py.decide and scan together): residues live
+ * _kernels_py.decide, outcome included, and scan together): residues live
  * in unsigned 64-bit words and every product goes through a 128-bit
  * intermediate, so results are exact.  The dispatcher in kernels.py routes
  * larger inputs to the pure backend.

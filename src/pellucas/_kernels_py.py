@@ -4,12 +4,13 @@ Reference implementation of the hot inner loops; exact for integers of any
 size thanks to Python's arbitrary-precision arithmetic.  The compiled
 backend in ``_kernels_c`` mirrors these functions for 64-bit moduli; the
 two are cross-checked in the test suite.  ``decide`` holds the per-n
-decisions of both tests, for the block scan and the per-n tests alike.
+decisions and outcomes of both tests, for the scan and per-n tests alike.
 
 All functions expect residues already reduced into ``[0, n)`` and an odd
 modulus ``n >= 3`` unless noted otherwise.
 """
 
+import sys
 from math import gcd
 
 BACKEND = "pure"
@@ -24,6 +25,8 @@ MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 # Skip codes of ``scan``: indices into ``verdict.SKIP_REASONS``.
 SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC = range(4)
+# Outcomes of a tested n: indices into ``verdict.Status`` (NotApplicable is a skip).
+PRIME, PSEUDOPRIME, DETECTED = range(3)
 
 
 def jacobi(a, n):
@@ -113,12 +116,13 @@ def is_prime(n):
     return not any(_mr_witness(a, d, s, n) for a in bases)
 
 
-def decide(kind, strong, params, ns, jacobi=jacobi, lucas_uv=lucas_uv):
+def decide(kind, strong, params, ns, backend):
     """Decide one test for every odd n >= 3 of ``ns``; returns (skips, tested).
 
     The one Python copy of the per-n decisions: ``scan`` collects them,
     ``verdict.verdict`` turns one into a verdict, and the C ``scan``
-    mirrors them.  The parameters are any integers, reduced mod each n.
+    mirrors them.  ``backend`` is a module with ``jacobi``, ``lucas_uv``
+    and ``is_prime``.  The parameters are any integers, reduced mod each n.
     Gates, in order: for "lucas" (P, Q), (D/n) = 0, then gcd(Q, n) > 1;
     for "seed" (d, a) and "point" (d, x, y), phi undefined or the point
     off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
@@ -126,10 +130,12 @@ def decide(kind, strong, params, ns, jacobi=jacobi, lucas_uv=lucas_uv):
     ``verdict.SKIP_REASONS``.
 
     Any other n runs the Lucas core for k = n - (D/n), Pell with P = 2x,
-    Q = 1, where (x, y)^k = (V_k/2, y U_k).  The test passes iff U_k = 0
-    and, if strong, V_k = 2: for Lucas that is U_{k+1} = (P U_k + V_k)/2
-    = 1.  A tested n goes into ``tested`` as (n, passed, U_k, V_k, w, k),
-    with w = P for Lucas and y for Pell.
+    Q = 1, where (x, y)^k = (V_k/2, y U_k).  The congruence holds iff
+    U_k = 0 and, if strong, V_k = 2: for Lucas that is U_{k+1} =
+    (P U_k + V_k)/2 = 1.  A prime n is PRIME whether or not it holds; a
+    composite n is PSEUDOPRIME exactly when it holds, DETECTED otherwise.
+    A tested n goes into ``tested`` as (n, outcome, U_k, V_k, w, k), with
+    w = P for Lucas and y for Pell.
     """
     skips = []
     tested = []
@@ -137,7 +143,7 @@ def decide(kind, strong, params, ns, jacobi=jacobi, lucas_uv=lucas_uv):
         if kind == "lucas":
             p, q = params[0] % n, params[1] % n
             dn = (p * p - 4 * q) % n
-            eps = jacobi(dn, n)
+            eps = backend.jacobi(dn, n)
             if eps == 0:
                 skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
                 continue
@@ -166,14 +172,16 @@ def decide(kind, strong, params, ns, jacobi=jacobi, lucas_uv=lucas_uv):
             if g > 1:
                 skips.append((n, SKIP_GCD, g))
                 continue
-            eps = jacobi(dn, n)
+            eps = backend.jacobi(dn, n)
             if eps == 0:
                 skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
                 continue
             p, q, w = 2 * x % n, 1, y
         k = n - eps
-        u, v = lucas_uv(p, q, k, n)
-        tested.append((n, u == 0 and (not strong or v == 2), u, v, w, k))
+        u, v = backend.lucas_uv(p, q, k, n)
+        held = u == 0 and (not strong or v == 2)
+        outcome = PRIME if backend.is_prime(n) else PSEUDOPRIME if held else DETECTED
+        tested.append((n, outcome, u, v, w, k))
     return skips, tested
 
 
@@ -183,17 +191,12 @@ def scan(kind, strong, params, lo, hi):
     Collects ``decide`` on the pure kernels: the Pseudoprime n, the skips
     and the Prime, Pseudoprime, CompositeDetected and NotApplicable counts.
     """
-    skips, tested = decide(kind, strong, params, range(lo | 1, hi + 1, 2))
-    hits = []
-    primes = detected = 0
+    skips, tested = decide(kind, strong, params, range(lo | 1, hi + 1, 2), sys.modules[__name__])
+    counts = [0, 0, 0, len(skips)]
     for row in tested:
-        if is_prime(row[0]):
-            primes += 1
-        elif row[1]:
-            hits.append(row[0])
-        else:
-            detected += 1
-    return hits, skips, (primes, len(hits), detected, len(skips))
+        counts[row[1]] += 1
+    hits = [row[0] for row in tested if row[1] == PSEUDOPRIME]
+    return hits, skips, tuple(counts)
 
 
 def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):

@@ -26,7 +26,6 @@ from . import __version__
 from .bridge import from_pell, roundtrip
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .fixtures import KINDS, reproduce
-from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import as_modulus
 from .search import SearchSpec, iter_blocks
@@ -84,14 +83,6 @@ def _witness_text(witnesses):
     return " ".join(f"{k}={v}" for k, v in witnesses.items())
 
 
-def _parse_modulus(parser, n):
-    # checked here: a gate may skip such an n as NotApplicable before its
-    # primality, which the tests refuse above the bound, is asked
-    if n >= MR_DETERMINISTIC_BOUND:
-        parser.error(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
-    return as_modulus(n)
-
-
 def _params(parser, args):
     """The test parameters named by the flags, and the flags to show: (params, shown)."""
     if args.kind == "lucas":
@@ -106,7 +97,7 @@ def _params(parser, args):
 
 
 def cmd_test(parser, args):
-    n = _parse_modulus(parser, args.n)
+    n = as_modulus(args.n)
     params, shown = _params(parser, args)
     # the functions are looked up by name on each call, so that a wrapper
     # bound to the module attribute (a tracer, a test) sees the call
@@ -209,7 +200,7 @@ def _stream_blocks(spec, workers, spool):
 
 
 def cmd_bridge(parser, args):
-    n = _parse_modulus(parser, args.n)
+    n = as_modulus(args.n)
     if args.from_lucas:
         if args.p is None:
             parser.error("--from-lucas needs --p")

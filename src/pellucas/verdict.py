@@ -4,8 +4,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import kernels
-from ._kernels_py import decide
-from .modring import as_modulus, is_composite
+from ._kernels_py import MR_DETERMINISTIC_BOUND, decide
+from .modring import as_modulus
 
 
 class Status(str, Enum):
@@ -26,6 +26,8 @@ REASON_PHI_UNDEFINED = "parametrization-undefined"
 
 # The skip reason of each code of ``_kernels_py.decide`` and both scans.
 SKIP_REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT_ON_CONIC)
+# The status and reason of each outcome of ``_kernels_py.decide``.
+_OUTCOMES = tuple(zip(Status, (REASON_PRIME, REASON_HOLDS, REASON_FAILS)))
 
 
 @dataclass(frozen=True)
@@ -56,28 +58,25 @@ class TestVerdict:
 def verdict(n, params, strong):
     """The per-n Lucas or Pell test of ``params``: one ``decide`` row.
 
-    Runs on the kernels of the backend that fits n.  A prime n is Prime
-    whether or not its congruence holds; a composite n is a Pseudoprime
-    exactly when it holds.  Witnesses: U_k and k, plus U_{k+1} for strong
-    Lucas; (x, y)^k and k for Pell.
+    Runs ``decide`` on the ``kernels`` dispatchers, which pick the backend
+    that fits n.  n at or above the deterministic primality bound is
+    rejected before any gate.  Witnesses: U_k and k, plus U_{k+1} for
+    strong Lucas; (x, y)^k and k for Pell.
     """
     m = as_modulus(n)
+    if m >= MR_DETERMINISTIC_BOUND:
+        raise ValueError(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
     kind, args = params.kernel_args
-    backend = kernels.backend_for(m)
-    skips, tested = decide(kind, strong, args, (m,), backend.jacobi, backend.lucas_uv)
+    skips, tested = decide(kind, strong, args, (m,), kernels)
     if skips:
         _, code, factor = skips[0]
         witnesses = {} if factor is None else {"gcd": factor}
         return TestVerdict(Status.NOT_APPLICABLE, SKIP_REASONS[code], witnesses)
-    _, passed, u, v, w, k = tested[0]
+    _, outcome, u, v, w, k = tested[0]
     if kind != "lucas":
         witnesses = {"x": kernels.half(v, m), "y": w * u % m, "k": k}
     elif strong:
         witnesses = {"u": u, "u_next": kernels.half((w * u + v) % m, m), "k": k}
     else:
         witnesses = {"u": u, "k": k}
-    if not is_composite(m):
-        return TestVerdict(Status.PRIME, REASON_PRIME, witnesses)
-    if passed:
-        return TestVerdict(Status.PSEUDOPRIME, REASON_HOLDS, witnesses)
-    return TestVerdict(Status.COMPOSITE_DETECTED, REASON_FAILS, witnesses)
+    return TestVerdict(*_OUTCOMES[outcome], witnesses)

@@ -134,6 +134,10 @@ def test_usage_errors_exit_2(capsys):
         ["lucas-test", str(bound + 2), "--p", "3"],
         ["pell-test", str(bound + 2), "--d", "5", "--a", "3"],
         ["bridge", str(bound + 2), "--from-lucas", "--p", "3"],
+        # 5 divides bound + 4, so a gate would skip it before its primality
+        ["lucas-test", str(bound + 4), "--p", "3"],
+        ["pell-test", str(bound + 4), "--d", "5", "--a", "1"],
+        ["bridge", str(bound + 4), "--from-lucas", "--p", "3"],
     ] + [
         ["enumerate", "lucas", "--p", "3", "--from", str(bound), "--to", str(bound + 18),
          "--workers", workers]

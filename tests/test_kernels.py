@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 
 from pellucas import kernels
+from pellucas.verdict import Status
 
 BACKENDS = kernels.backends()
 PAIRED = pytest.mark.skipif(
@@ -137,8 +138,8 @@ def test_dispatcher_handles_huge_moduli():
 
 
 def test_backend_for_either_side_of_the_compiled_limit():
-    # the per-n tests run the kernels of backend_for(n) on exponents n +- 1,
-    # so the compiled backend is picked only while n + 1 < 2**63
+    # the per-n tests run the dispatched kernels on exponents n +- 1, so
+    # backend_for(n) picks the compiled backend only while n + 1 < 2**63
     limit = kernels._C_LIMIT
     below = "compiled" if "compiled" in BACKENDS else "pure"
     assert kernels.backend_for(3).BACKEND == below
@@ -177,6 +178,23 @@ def test_closed_form_sweep_rejects_small_moduli():
         with pytest.raises(ValueError):
             kernels.closed_form_sweep(1, 1, 1, 2, n_lo, 10)
     assert kernels.closed_form_sweep(1, 1, 1, 2, 3, 10)[1] == []
+
+
+def test_decide_outcomes_index_status():
+    pure = BACKENDS["pure"]
+    statuses = list(Status)
+    assert statuses[pure.PRIME] is Status.PRIME
+    assert statuses[pure.PSEUDOPRIME] is Status.PSEUDOPRIME
+    assert statuses[pure.DETECTED] is Status.COMPOSITE_DETECTED
+
+
+def test_prime_comes_before_the_congruence():
+    # strong Lucas (1, -1) at n = 7: U_8 = 0 but V_8 = 5, not 2; 7 is prime
+    pure = BACKENDS["pure"]
+    row = (7, pure.PRIME, 0, 5, 1, 8)
+    assert pure.decide("lucas", True, (1, -1), [7], pure) == ([], [row])
+    for backend in BACKENDS.values():
+        assert backend.scan("lucas", True, (1, -1), 7, 7) == ([], [], (1, 0, 0, 0))
 
 
 def test_mr_bound_exposed():

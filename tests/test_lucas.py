@@ -6,12 +6,16 @@ import pytest
 
 from pellucas import (
     LucasParams,
+    PellParams,
     Status,
     is_composite,
     lucas_test,
     lucas_uv_mod,
+    pell_test,
     strong_lucas_test,
+    strong_pell_test,
 )
+from pellucas.kernels import MR_DETERMINISTIC_BOUND
 
 rng = random.Random(0x5EED)
 
@@ -139,6 +143,29 @@ def test_strong_lucas_verdicts():
     assert uv_by_recurrence(3, 1, 325, 323)[0] == 1
     v = strong_lucas_test(323, LucasParams(3, 1))
     assert v.status is Status.PSEUDOPRIME
+
+
+def test_prime_comes_before_the_congruence():
+    # k = 8 and V_8 = 47 = 5 mod 7, so the strong congruence fails; 7 is
+    # prime all the same
+    v = strong_lucas_test(7, LucasParams(1, -1))
+    assert v.status is Status.PRIME
+    assert v.reason == "prime"
+    assert v.witnesses == {"u": 0, "u_next": 6, "k": 8}
+
+
+def test_bound_comes_before_the_gates():
+    # 5 divides B + 4, so a gate alone would answer NotApplicable (jacobi-zero)
+    n = MR_DETERMINISTIC_BOUND + 4
+    cases = [
+        (lucas_test, LucasParams(3, 1)),
+        (strong_lucas_test, LucasParams(3, 1)),
+        (pell_test, PellParams.from_seed(5, 1)),
+        (strong_pell_test, PellParams.from_seed(5, 1)),
+    ]
+    for test, params in cases:
+        with pytest.raises(ValueError, match="deterministic primality bound"):
+            test(n, params)
 
 
 def test_strong_implies_ordinary():
