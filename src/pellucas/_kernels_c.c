@@ -1,10 +1,19 @@
 /* Compiled modular kernels.
  *
- * Mirrors _kernels_py step for step for moduli below 2**63 (scan mirrors
- * _kernels_py.decide, outcome included, and scan together): residues live
- * in unsigned 64-bit words and every product goes through a 128-bit
- * intermediate, so results are exact.  The dispatcher in kernels.py routes
- * larger inputs to the pure backend.
+ * Mirrors _kernels_py for moduli below 2**63: residues live in unsigned
+ * 64-bit words and every product goes through a 128-bit intermediate, so
+ * results are exact.  The dispatcher in kernels.py routes larger inputs to
+ * the pure backend.
+ *
+ * scan makes the decisions of _kernels_py.decide, gates, outcomes and
+ * counts alike, by a cheaper route.  Its Lucas core and is_prime run on
+ * Montgomery products, which need an odd modulus (every n here is odd and
+ * below 2**63).  The core is a ladder on V alone, and decides U_k by
+ * D U_k = 2 V_{k+1} - P V_k: every tested n has gcd(D, n) = 1 (the jacobi
+ * gate for Lucas; for Pell D = 4 d y^2 with gcd(y, n) = 1 and (d/n) != 0),
+ * so U_k = 0 exactly when 2 V_{k+1} = P V_k.  Primality is asked lazily, as
+ * in decide: only where U_k = 0, since a prime that passes the gates always
+ * has U_k = 0.
  *
  * Build in place with:  python setup.py build_ext --inplace
  */
@@ -53,6 +62,117 @@ half(u64 a, u64 n)
 {
     /* exact halving mod odd n */
     return (a & 1) ? (a + n) >> 1 : a >> 1;
+}
+
+/* the highest set bit of k >= 1 */
+static inline u64
+top_bit(u64 k)
+{
+    return (u64)1 << (63 - __builtin_clzll(k));
+}
+
+/* Montgomery arithmetic mod odd n with R = 2**64 (Montgomery 1985): a
+ * residue a is held as aR mod n, and a product costs three multiplications
+ * and no division.  Equal residues have equal forms, so congruences are
+ * checked on the forms directly. */
+typedef struct {
+    u64 n, ninv, one, r2;  /* n, n^-1 mod R, R mod n, R^2 mod n */
+} mont;
+
+static void
+mont_init(mont *m, u64 n)
+{
+    u64 inv = n;  /* n * n = 1 mod 8; each Newton step doubles the good bits */
+    for (int i = 0; i < 5; i++)
+        inv *= 2 - n * inv;
+    m->n = n;
+    m->ninv = inv;
+    m->one = (0 - n) % n;
+    m->r2 = (u64)((u128)m->one * m->one % n);
+}
+
+/* aR^-1 mod n for a < nR.  With t = (a mod R) n^-1 mod R, a and tn agree in
+ * their low words, so (a - tn) / R is the difference of the high words, in
+ * (-n, n): no 128-bit carry, for every odd n < 2**64. */
+static inline u64
+redc(u128 a, const mont *m)
+{
+    u64 t = (u64)a * m->ninv;
+    u64 hi = (u64)(a >> 64), tn = (u64)(((u128)t * m->n) >> 64);
+    return hi >= tn ? hi - tn : hi - tn + m->n;
+}
+
+static inline u64
+mont_mul(u64 a, u64 b, const mont *m)
+{
+    return redc((u128)a * b, m);
+}
+
+/* the Montgomery form of any a < 2**64 */
+static inline u64
+to_mont(u64 a, const mont *m)
+{
+    return mont_mul(a, m->r2, m);
+}
+
+/* (V_k, V_{k+1}) for k >= 1, every residue in Montgomery form and n < 2**63.
+ * The ladder keeps (V_j, V_{j+1}) over the leading bits j of k, by
+ * V_{2j} = V_j^2 - 2Q^j and V_{2j+1} = V_j V_{j+1} - P Q^j (Crandall and
+ * Pomerance, Prime Numbers, 3.6): 2 products per bit when Q = 1.  Only
+ * for Q != 1 is Q^j tracked as well, for 4 or 5 products per bit. */
+static void
+v_ladder(u64 p, u64 q, u64 k, const mont *m, u64 *vk, u64 *vk1)
+{
+    u64 n = m->n, two_q = addmod(m->one, m->one, n), pq = p, qj = q;
+    u64 v0 = p, v1 = submod(mont_mul(p, p, m), addmod(q, q, n), n);
+    int track = q != m->one;
+    for (u64 bit = top_bit(k) >> 1; bit; bit >>= 1) {
+        int set = (k & bit) != 0;
+        if (track) {
+            u64 qs = set ? mont_mul(qj, q, m) : qj;  /* Q^(j + set) */
+            pq = mont_mul(p, qj, m);
+            two_q = addmod(qs, qs, n);
+            qj = mont_mul(qj, qs, m);
+        }
+        u64 mid = submod(mont_mul(v0, v1, m), pq, n);
+        u64 sq = submod(mont_mul(set ? v1 : v0, set ? v1 : v0, m), two_q, n);
+        v0 = set ? mid : sq;
+        v1 = set ? sq : mid;
+    }
+    *vk = v0;
+    *vk1 = v1;
+}
+
+/* Deterministic primality of an odd n >= 3, on Montgomery products. */
+static int
+is_prime_mont(const mont *m)
+{
+    u64 n = m->n, d = n - 1, minus_one = n - m->one;
+    const u64 *bases = n < ((u64)1 << 32) ? MR_BASES_32 : MR_BASES;
+    int count = n < ((u64)1 << 32) ? 3 : 12, s = 0;
+    for (int j = 0; j < count; j++)
+        if (n % bases[j] == 0)
+            return n == bases[j];
+    while ((d & 1) == 0) {
+        d >>= 1;
+        s++;
+    }
+    for (int j = 0; j < count; j++) {
+        u64 b = to_mont(bases[j], m), x = b;
+        for (u64 bit = top_bit(d) >> 1; bit; bit >>= 1) {
+            x = mont_mul(x, x, m);
+            if (d & bit)
+                x = mont_mul(x, b, m);
+        }
+        if (x == m->one || x == minus_one)
+            continue;
+        int i = 1;
+        while (i < s && (x = mont_mul(x, x, m)) != minus_one)
+            i++;
+        if (i == s)
+            return 0;  /* bases[j] is a witness: n is composite */
+    }
+    return 1;
 }
 
 /* Convert exactly `want` positional arguments to u64; -1 with an
@@ -124,16 +244,14 @@ jacobi(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyLong_FromLong(jacobi_u64(v[0], v[1]));
 }
 
-/* (U_k, V_k) mod n by fast doubling, for p, q < n and k >= 1. */
+/* (U_k, V_k) mod n by fast doubling, for p, q < n and k >= 1: the single
+ * lucas_uv kernel, which must give U_k for any D (scan decides on V alone). */
 static void
 lucas_core(u64 p, u64 q, u64 k, u64 n, u64 *u_out, u64 *v_out)
 {
     u64 u = 1, v = p, qk = q;
     u64 d = submod(mulmod(p, p, n), mulmod(4 % n, q, n), n);
-    u64 bit = (u64)1 << 63;
-    while (!(k & bit))
-        bit >>= 1;
-    for (bit >>= 1; bit; bit >>= 1) {
+    for (u64 bit = top_bit(k) >> 1; bit; bit >>= 1) {
         u64 u2 = mulmod(u, v, n);
         u64 v2 = submod(mulmod(v, v, n), mulmod(2 % n, qk, n), n);
         qk = mulmod(qk, qk, n);
@@ -187,63 +305,17 @@ pell_pow(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return pair(rx, ry);
 }
 
-static u64
-powmod(u64 b, u64 e, u64 n)
-{
-    u64 r = 1 % n;
-    b %= n;
-    while (e) {
-        if (e & 1)
-            r = mulmod(r, b, n);
-        b = mulmod(b, b, n);
-        e >>= 1;
-    }
-    return r;
-}
-
-static int
-mr_witness(u64 a, u64 d, int s, u64 n)
-{
-    u64 x = powmod(a, d, n);
-    if (x == 1 || x == n - 1)
-        return 0;
-    for (int i = 0; i < s - 1; i++) {
-        x = mulmod(x, x, n);
-        if (x == n - 1)
-            return 0;
-    }
-    return 1;
-}
-
-static int
-is_prime_u64(u64 n)
-{
-    if (n < 2)
-        return 0;
-    const u64 *bases = n < ((u64)1 << 32) ? MR_BASES_32 : MR_BASES;
-    int count = n < ((u64)1 << 32) ? 3 : 12;
-    for (int j = 0; j < count; j++)
-        if (n % bases[j] == 0)
-            return n == bases[j];
-    u64 d = n - 1;
-    int s = 0;
-    while ((d & 1) == 0) {
-        d >>= 1;
-        s++;
-    }
-    for (int j = 0; j < count; j++)
-        if (mr_witness(bases[j], d, s, n))
-            return 0;
-    return 1;
-}
-
 static PyObject *
 is_prime(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 n;
+    mont m;
     if (args_u64("is_prime", args, nargs, 1, &n) < 0)
         return NULL;
-    return PyBool_FromLong(is_prime_u64(n));
+    if (n < 3 || !(n & 1))
+        return PyBool_FromLong(n == 2);
+    mont_init(&m, n);
+    return PyBool_FromLong(is_prime_mont(&m));
 }
 
 static u64
@@ -341,7 +413,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     if (lo < 3) {
-        /* n = 1 would give lucas_core the exponent 0, which it cannot take */
+        /* n = 1 would give the ladder the exponent 0, which it cannot take */
         PyErr_SetString(PyExc_ValueError, "scan() needs lo >= 3");
         return NULL;
     }
@@ -354,8 +426,8 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u64 first = lo | 1;
     u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
     for (u64 i = 0; i < count; i++) {
-        u64 n = first + 2 * i, p, q, dn, g, u, v;
-        int eps, passed;
+        u64 n = first + 2 * i, p, q, dn, g, v, v1;
+        int eps;
         if (kind == LUCAS) {
             p = reduce(par[0], n);
             q = reduce(par[1], n);
@@ -411,11 +483,18 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             p = addmod(x, x, n);
             q = 1;
         }
-        lucas_core(p, q, eps > 0 ? n - 1 : n + 1, n, &u, &v);
-        passed = u == 0 && (!strong || v == 2);
-        if (is_prime_u64(n))
+        mont m;
+        mont_init(&m, n);
+        p = to_mont(p, &m);
+        v_ladder(p, to_mont(q, &m), eps > 0 ? n - 1 : n + 1, &m, &v, &v1);
+        /* D U_k = 2 V_{k+1} - P V_k with gcd(D, n) = 1 past the gates, so
+         * U_k = 0 exactly when 2 V_{k+1} = P V_k; a prime always has
+         * U_k = 0, so only then can n be prime */
+        if (addmod(v1, v1, n) != mont_mul(p, v, &m))
+            detected++;
+        else if (is_prime_mont(&m))
             primes++;
-        else if (passed) {
+        else if (!strong || v == addmod(m.one, m.one, n)) {
             PyObject *hit = PyLong_FromUnsignedLongLong(n);
             int rc = hit ? PyList_Append(hits, hit) : -1;
             Py_XDECREF(hit);

@@ -134,8 +134,11 @@ def decide(kind, strong, params, ns, backend):
     U_k = 0 and, if strong, V_k = 2: for Lucas that is U_{k+1} =
     (P U_k + V_k)/2 = 1.  A prime n is PRIME whether or not it holds; a
     composite n is PSEUDOPRIME exactly when it holds, DETECTED otherwise.
-    A tested n goes into ``tested`` as (n, outcome, U_k, V_k, w, k), with
-    w = P for Lucas and y for Pell.
+    Primality is asked lazily, only where U_k = 0: a prime that passes the
+    gates always has U_k = 0, so U_k != 0 proves n composite.  (A prime
+    can still fail the strong V check, for Lucas with Q != 1 and
+    (D/n) = -1, so U_k = 0 always asks.)  A tested n goes into ``tested``
+    as (n, outcome, U_k, V_k, w, k), with w = P for Lucas and y for Pell.
     """
     skips = []
     tested = []
@@ -179,8 +182,12 @@ def decide(kind, strong, params, ns, backend):
             p, q, w = 2 * x % n, 1, y
         k = n - eps
         u, v = backend.lucas_uv(p, q, k, n)
-        held = u == 0 and (not strong or v == 2)
-        outcome = PRIME if backend.is_prime(n) else PSEUDOPRIME if held else DETECTED
+        if u:
+            outcome = DETECTED
+        elif backend.is_prime(n):
+            outcome = PRIME
+        else:
+            outcome = PSEUDOPRIME if not strong or v == 2 else DETECTED
         tested.append((n, outcome, u, v, w, k))
     return skips, tested
 

@@ -59,8 +59,7 @@ def lucas_uv(p, q, k, n):
     """(U_k mod n, V_k mod n) for Lucas parameters (p, q); n odd >= 3."""
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    # not max(n, k): that builtin call costs a per-n test about 5%
-    return backend_for(k if k > n else n).lucas_uv(p % n, q % n, k, n)
+    return backend_for(max(n, k)).lucas_uv(p % n, q % n, k, n)
 
 
 def pell_pow(x, y, d, e, n):

@@ -58,8 +58,9 @@ class TestVerdict:
 def verdict(n, params, strong):
     """The per-n Lucas or Pell test of ``params``: one ``decide`` row.
 
-    Runs ``decide`` on the ``kernels`` dispatchers, which pick the backend
-    that fits n.  n at or above the deterministic primality bound is
+    Runs ``decide`` on the one backend that ``kernels.backend_for`` picks
+    for n, whose kernels take the residues and the exponents n +- 1 that
+    ``decide`` passes.  n at or above the deterministic primality bound is
     rejected before any gate.  Witnesses: U_k and k, plus U_{k+1} for
     strong Lucas; (x, y)^k and k for Pell.
     """
@@ -67,7 +68,7 @@ def verdict(n, params, strong):
     if m >= MR_DETERMINISTIC_BOUND:
         raise ValueError(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
     kind, args = params.kernel_args
-    skips, tested = decide(kind, strong, args, (m,), kernels)
+    skips, tested = decide(kind, strong, args, (m,), kernels.backend_for(m))
     if skips:
         _, code, factor = skips[0]
         witnesses = {} if factor is None else {"gcd": factor}

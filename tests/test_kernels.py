@@ -2,6 +2,7 @@
 
 import random
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,6 +109,23 @@ def test_is_prime_matches_trial_division(name):
     assert not is_prime(4759123141) and 4759123141 == 48781 * 97561
 
 
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_is_prime_above_2_32(name):
+    is_prime = BACKENDS[name].is_prime
+    # a strong pseudoprime to every prime base up to 31, below 2**63: only
+    # the last base of the battery, 37, exposes it
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211 and n < 2**63
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        x = pow(a, d, n)
+        assert x == 1 or n - 1 in [pow(x, 2**i, n) for i in range(s)]
+    assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**63 - 25)
+
+
 @PAIRED
 def test_sweep_parity():
     pure, fast = BACKENDS["pure"], BACKENDS["compiled"]
@@ -138,8 +156,8 @@ def test_dispatcher_handles_huge_moduli():
 
 
 def test_backend_for_either_side_of_the_compiled_limit():
-    # the per-n tests run the dispatched kernels on exponents n +- 1, so
-    # backend_for(n) picks the compiled backend only while n + 1 < 2**63
+    # the per-n tests run backend_for(n)'s kernels on exponents n +- 1, so
+    # it picks the compiled backend only while n + 1 < 2**63
     limit = kernels._C_LIMIT
     below = "compiled" if "compiled" in BACKENDS else "pure"
     assert kernels.backend_for(3).BACKEND == below
@@ -195,6 +213,31 @@ def test_prime_comes_before_the_congruence():
     assert pure.decide("lucas", True, (1, -1), [7], pure) == ([], [row])
     for backend in BACKENDS.values():
         assert backend.scan("lucas", True, (1, -1), 7, 7) == ([], [], (1, 0, 0, 0))
+
+
+def test_primality_is_asked_only_where_u_vanishes():
+    # a prime that passes the gates has U_k = 0, so decide asks is_prime
+    # exactly on the tested n with U_k = 0, and its outcomes are those of
+    # asking it on every tested n
+    pure = BACKENDS["pure"]
+    asked = []
+
+    def is_prime(n):
+        asked.append(n)
+        return pure.is_prime(n)
+
+    counting = SimpleNamespace(jacobi=pure.jacobi, lucas_uv=pure.lucas_uv, is_prime=is_prime)
+    for kind, params in (("lucas", (3, 1)), ("lucas", (1, -1)), ("seed", (6, 4))):
+        for strong in (False, True):
+            for ns in (range(3, 4001, 2), range(10**12 + 1, 10**12 + 401, 2)):
+                asked.clear()
+                skips, tested = pure.decide(kind, strong, params, ns, counting)
+                assert asked == [n for n, _, u, *_ in tested if u == 0]
+                assert len(asked) < len(tested)
+                for n, outcome, u, v, _, _ in tested:
+                    held = u == 0 and (not strong or v == 2)
+                    eager = pure.PSEUDOPRIME if held else pure.DETECTED
+                    assert outcome == (pure.PRIME if pure.is_prime(n) else eager), n
 
 
 def test_mr_bound_exposed():

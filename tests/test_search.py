@@ -427,6 +427,18 @@ def test_scan_matches_per_n_tests_on_fixtures(name):
             assert backend_scan(name, kind, strong, params, lo, hi) == expected, fixture.label
 
 
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_scan_finds_pseudoprimes_above_2_32(name):
+    # the hypothesis windows almost never hold a pseudoprime this large
+    lucas_n, pell_n = 1000010665601, 1000000200577
+    assert lucas_n == 774601 * 1291001 and pell_n == 7 * 1249 * 6967 * 16417
+    for kind, params, n in (("lucas", (3, 1), lucas_n), ("seed", (6, 4), pell_n)):
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, n - 80, n + 80)
+            assert n in expected[0]
+            assert backend_scan(name, kind, strong, params, n - 80, n + 80) == expected
+
+
 def test_scan_dispatch_either_side_of_the_compiled_limit():
     # hi and the parameters just inside the signed 64-bit range take the
     # compiled scan when it is built; one past it, the pure scan
