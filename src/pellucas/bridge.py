@@ -11,14 +11,13 @@ underlying closed form
 which holds for arbitrary integer pairs, members or not.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .errors import DegenerateDError, MixedContextError, NotOnConicError, ZeroPError
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import as_modulus, mod_inverse
-from .verdict import TestVerdict
 
 
 def lucas_to_pell(p, n):
@@ -68,13 +67,8 @@ def lucas_to_phi_params(p):
     return p * p - 4, p + 2
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    """Both sides of the power/closed-form identity, reduced mod n."""
-
-    equal: bool
-    power: tuple
-    closed_form: tuple
+# Both sides of the power/closed-form identity, reduced mod n.
+ClosedFormCheck = namedtuple("ClosedFormCheck", "equal power closed_form")
 
 
 def check_closed_form(x, y, d, k, n):
@@ -93,8 +87,9 @@ def check_closed_form(x, y, d, k, n):
     return ClosedFormCheck(power == closed, power, closed)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(namedtuple("BridgeReport", (
+    "direction n lucas_params pell_params lucas_verdict pell_verdict recovered_p strong"
+))):
     """Verdicts on both sides of the parameter correspondence for one n.
 
     ``agreement`` is True only when both tests ran and returned the same
@@ -102,14 +97,7 @@ class BridgeReport:
     hypotheses failed, which is surfaced rather than hidden.
     """
 
-    direction: str
-    n: int
-    lucas_params: LucasParams
-    pell_params: PellParams
-    lucas_verdict: TestVerdict
-    pell_verdict: TestVerdict
-    recovered_p: int = None
-    strong: bool = False
+    __slots__ = ()
 
     @property
     def agreement(self):

@@ -10,8 +10,7 @@ the Lucas core, (x, y)^k = (V_k/2, y U_k) with P = 2x, Q = 1
 (``verdict.verdict``).
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from math import gcd
 
 from . import kernels
@@ -30,8 +29,7 @@ def is_member(x, y, d, n):
     return (x * x - d * y * y) % n == 1 % n
 
 
-@dataclass(frozen=True)
-class ConicPoint:
+class ConicPoint(namedtuple("ConicPoint", "x y d n")):
     """A point on x^2 - d y^2 = 1 over Z_n; immutable once built.
 
     Coordinates are reduced into [0, n) and membership is checked at
@@ -40,21 +38,20 @@ class ConicPoint:
     many moduli during range searches.
     """
 
-    x: int
-    y: int
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = as_modulus(self.n)
-        if self.d == 0:
+    def __new__(cls, x, y, d, n):
+        n = as_modulus(n)
+        if d == 0:
             raise ValueError("conic parameter d must be nonzero")
-        object.__setattr__(self, "x", self.x % n)
-        object.__setattr__(self, "y", self.y % n)
-        if not is_member(self.x, self.y, self.d, n):
-            raise NotOnConicError(
-                f"({self.x}, {self.y}) is not on x^2 - {self.d} y^2 = 1 mod {n}"
-            )
+        x, y = x % n, y % n
+        if not is_member(x, y, d, n):
+            raise NotOnConicError(f"({x}, {y}) is not on x^2 - {d} y^2 = 1 mod {n}")
+        return super().__new__(cls, x, y, d, n)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` calls it: validate there too
+        return cls(*iterable)
 
     @classmethod
     def identity(cls, d, n):
@@ -103,27 +100,28 @@ def phi(a, d, n):
     return ConicPoint((a * a + d) * inv, 2 * a * inv, d, n)
 
 
-@dataclass(frozen=True)
-class PellParams:
+class PellParams(namedtuple("PellParams", "d x y a")):
     """Test parameters: d plus either an explicit point or a seed for phi.
 
     An explicit (x, y) is interpreted mod each tested n; a seed a is fed
     to phi per n, which may fail for some moduli.
     """
 
-    d: int
-    x: int = None
-    y: int = None
-    a: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d == 0:
+    def __new__(cls, d, x=None, y=None, a=None):
+        if d == 0:
             raise ValueError("conic parameter d must be nonzero")
-        explicit = self.x is not None or self.y is not None
-        if explicit and (self.x is None or self.y is None or self.a is not None):
+        explicit = x is not None or y is not None
+        if explicit and (x is None or y is None or a is not None):
             raise ValueError("give both --x and --y, or a seed a, not a mix")
-        if not explicit and self.a is None:
+        if not explicit and a is None:
             raise ValueError("either an explicit point (x, y) or a seed a is required")
+        return super().__new__(cls, d, x, y, a)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` calls it: validate there too
+        return cls(*iterable)
 
     @classmethod
     def from_point(cls, d, x, y):
@@ -137,7 +135,7 @@ class PellParams:
     def has_seed(self):
         return self.a is not None
 
-    @cached_property
+    @property
     def kernel_args(self):
         """The kind and parameter tuple of ``kernels.scan``."""
         if self.has_seed:
@@ -166,15 +164,19 @@ def strong_pell_test(n, params):
     return verdict(n, params, strong=True)
 
 
-def conic_order(d, p, bound=10_000):
+# The largest p that ``conic_order`` counts exhaustively.
+ENUMERATION_BOUND = 10_000
+
+
+def conic_order(d, p):
     """|{(x, y) in Z_p^2 : x^2 - d y^2 = 1}| for an odd prime p.
 
     Exhaustive count used as the oracle for the group-order law
     |C| = p - (d/p): a frequency table of y^2 over all y, then one pass
     over all x.  No Jacobi symbols involved.
     """
-    if p > bound:
-        raise EnumerationBoundError(f"p = {p} exceeds the enumeration bound {bound}")
+    if p > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"p = {p} exceeds the enumeration bound {ENUMERATION_BOUND}")
     if p < 3 or p % 2 == 0 or is_composite(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if gcd(d, p) != 1:

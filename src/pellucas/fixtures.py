@@ -6,7 +6,7 @@ fixture through the library and reports mismatches as data rather than
 exceptions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .conic import ConicPoint, PellParams, pell_pow
@@ -17,11 +17,10 @@ from .verdict import REASON_NOT_ON_CONIC
 KINDS = ("lucas", "pell", "pell-membership", "lucas-value", "pell-value")
 
 
-@dataclass(frozen=True)
-class Fixture:
-    kind: str
-    fields: tuple  # sorted (key, value) pairs
-    expected: tuple
+class Fixture(namedtuple("Fixture", "kind fields expected")):
+    """One line of the table: its kind, sorted (key, value) pairs and expected values."""
+
+    __slots__ = ()
 
     @property
     def label(self):
@@ -36,12 +35,7 @@ class Fixture:
         return dict(self.fields)[key]
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    fixture: Fixture
-    actual: tuple
-    passed: bool
-    note: str = ""
+FixtureResult = namedtuple("FixtureResult", "fixture actual passed note")
 
 
 def _parse_line(line):

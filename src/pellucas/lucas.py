@@ -6,46 +6,45 @@ U_{n - (D/n)} = 0 mod n for D = P^2 - 4Q.  Odd composite n passing it are
 pseudoprimes for (P, Q).  The tests are ``verdict.verdict`` calls.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from . import kernels
 from .modring import as_modulus
 from .verdict import verdict
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(namedtuple("LucasParams", "p q")):
     """Sequence parameters (P, Q) with discriminant D = P^2 - 4Q.
 
     P must be positive and D nonzero.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"P must be positive, got {self.p}")
+    def __new__(cls, p, q):
+        if p <= 0:
+            raise ValueError(f"P must be positive, got {p}")
+        self = super().__new__(cls, p, q)
         if self.d == 0:
-            raise ValueError(f"P^2 - 4Q must be nonzero, got P={self.p} Q={self.q}")
+            raise ValueError(f"P^2 - 4Q must be nonzero, got P={p} Q={q}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` calls it: validate there too
+        return cls(*iterable)
 
     @property
     def d(self):
         return self.p * self.p - 4 * self.q
 
-    @cached_property
+    @property
     def kernel_args(self):
         """The kind and parameter tuple of ``kernels.scan``."""
         return "lucas", (self.p, self.q)
 
 
-@dataclass(frozen=True)
-class LucasPair:
-    """(U_k, V_k) reduced mod n."""
-
-    u: int
-    v: int
+# (U_k, V_k) reduced mod n.
+LucasPair = namedtuple("LucasPair", "u v")
 
 
 def lucas_uv_mod(params, k, n):

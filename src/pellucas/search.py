@@ -22,7 +22,6 @@ The pure scan and the per-n tests share one decision function,
 import os
 import zlib
 from collections import deque, namedtuple
-from dataclasses import dataclass
 
 from . import kernels
 from .conic import PellParams
@@ -41,44 +40,40 @@ RUN_SPAN = RUN_BLOCKS * BLOCK_SPAN
 LOOKAHEAD = 2
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(namedtuple("SearchSpec", "kind params lo hi strong")):
     """What to enumerate: test kind, parameters, inclusive odd range."""
 
-    kind: str
-    params: object
-    lo: int
-    hi: int
-    strong: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("lucas", "pell"):
-            raise ValueError(f"kind must be 'lucas' or 'pell', got {self.kind!r}")
-        expected = LucasParams if self.kind == "lucas" else PellParams
-        if not isinstance(self.params, expected):
-            raise ValueError(f"{self.kind} search needs {expected.__name__}")
-        if self.lo < 3:
-            raise ValueError(f"range must start at 3 or above, got {self.lo}")
-        if self.hi < self.lo:
-            raise ValueError(f"empty range [{self.lo}, {self.hi}]")
-        if self.hi >= MR_DETERMINISTIC_BOUND:
+    def __new__(cls, kind, params, lo, hi, strong=False):
+        if kind not in ("lucas", "pell"):
+            raise ValueError(f"kind must be 'lucas' or 'pell', got {kind!r}")
+        expected = LucasParams if kind == "lucas" else PellParams
+        if not isinstance(params, expected):
+            raise ValueError(f"{kind} search needs {expected.__name__}")
+        if lo < 3:
+            raise ValueError(f"range must start at 3 or above, got {lo}")
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        if hi >= MR_DETERMINISTIC_BOUND:
             raise ValueError(
                 f"range must end below the deterministic primality bound {MR_DETERMINISTIC_BOUND}"
             )
+        return super().__new__(cls, kind, params, lo, hi, strong)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` calls it: validate there too
+        return cls(*iterable)
 
 
 # An odd n the test did not apply to, with the machine-readable reason.
 Skip = namedtuple("Skip", "n reason factor", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(namedtuple("SearchReport", "spec pseudoprimes skipped counts")):
     """Deterministic enumeration outcome; equal specs give equal reports."""
 
-    spec: SearchSpec
-    pseudoprimes: tuple
-    skipped: tuple
-    counts: dict
+    __slots__ = ()
 
     def skipped_ns(self, reason=None):
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)

@@ -1,6 +1,6 @@
 """Structured outcomes for the pseudoprimality tests."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from . import kernels
@@ -30,8 +30,7 @@ SKIP_REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT
 _OUTCOMES = tuple(zip(Status, (REASON_PRIME, REASON_HOLDS, REASON_FAILS)))
 
 
-@dataclass(frozen=True)
-class TestVerdict:
+class TestVerdict(namedtuple("TestVerdict", "status reason witnesses")):
     """Outcome of a single test run.
 
     ``witnesses`` maps names to the residues that determined the outcome
@@ -39,9 +38,7 @@ class TestVerdict:
     audit the congruence regardless of status.
     """
 
-    status: Status
-    reason: str
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def applicable(self):

@@ -271,7 +271,6 @@ def test_conic_order_group_law():
 def test_conic_order_validation():
     with pytest.raises(EnumerationBoundError):
         conic_order(2, 10_007)
-    conic_order(2, 10_007, bound=20_000)  # explicit bound raise
     with pytest.raises(ValueError):
         conic_order(2, 9)  # composite
     with pytest.raises(ValueError):
