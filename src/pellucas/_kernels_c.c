@@ -13,7 +13,8 @@
  * gate for Lucas; for Pell D = 4 d y^2 with gcd(y, n) = 1 and (d/n) != 0),
  * so U_k = 0 exactly when 2 V_{k+1} = P V_k.  Primality is asked lazily, as
  * in decide: only where U_k = 0, since a prime that passes the gates always
- * has U_k = 0.
+ * has U_k = 0.  Its skips are rows of _kernels_py's Skip namedtuple, with
+ * the reason strings that module defines; the module init fetches both.
  *
  * Build in place with:  python setup.py build_ext --inplace
  */
@@ -355,16 +356,40 @@ reduce(long long v, u64 n)
     return r < 0 ? (u64)(r + (long long)n) : (u64)r;
 }
 
-enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC };
+enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC, SKIP_CODES };
 
-/* Append (n, code, factor) to skips; factor 0 stands for None. */
+/* _kernels_py.Skip and the reason of each skip code, set by the module
+ * init and held for the life of the process. */
+static PyTypeObject *skip_type;
+static PyObject *skip_reasons[SKIP_CODES];
+static const char *const SKIP_REASON_NAMES[SKIP_CODES] = {
+    "REASON_JACOBI_ZERO", "REASON_GCD", "REASON_PHI_UNDEFINED", "REASON_NOT_ON_CONIC",
+};
+
+/* Append Skip(n, reason, factor) to skips; factor 0 stands for None.  The
+ * row is allocated as the tuple subclass it is, after its items, as
+ * CPython's structseq does, with no call into Skip.__new__. */
 static int
 add_skip(PyObject *skips, u64 n, int code, u64 factor)
 {
-    PyObject *row = factor ? Py_BuildValue("(KiK)", n, code, factor)
-                           : Py_BuildValue("(KiO)", n, code, Py_None);
-    int rc = row ? PyList_Append(skips, row) : -1;
-    Py_XDECREF(row);
+    PyObject *pn = PyLong_FromUnsignedLongLong(n);
+    PyObject *pf = factor ? PyLong_FromUnsignedLongLong(factor) : Py_NewRef(Py_None);
+    PyObject *row = pn && pf ? skip_type->tp_alloc(skip_type, 3) : NULL;
+    if (row == NULL) {
+        Py_XDECREF(pn);
+        Py_XDECREF(pf);
+        return -1;
+    }
+    PyTuple_SET_ITEM(row, 0, pn);
+    PyTuple_SET_ITEM(row, 1, Py_NewRef(skip_reasons[code]));
+    PyTuple_SET_ITEM(row, 2, pf);
+    /* an int, a str and an int or None: the row can be in no cycle, so it
+     * leaves the collector, as a plain tuple of atoms does at its first
+     * collection (a subclass's never does); tracked, every collection the
+     * scan's allocations set off would traverse it */
+    PyObject_GC_UnTrack(row);
+    int rc = PyList_Append(skips, row);
+    Py_DECREF(row);
     return rc;
 }
 
@@ -586,7 +611,9 @@ static PyMethodDef methods[] = {
      "is_prime(n): deterministic primality for n < 2**63; see the pure backend."},
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
      "scan(kind, strong, params, lo, hi): one test over every odd n in [lo, hi],\n"
-     "for hi < 2**63 and parameters in signed 64-bit range; see the pure backend."},
+     "for hi < 2**63 and parameters in signed 64-bit range; returns (hits, skips,\n"
+     "counts), each skip a _kernels_py.Skip row (n, reason, factor); see the pure\n"
+     "backend."},
     {"closed_form_sweep", (PyCFunction)(void (*)(void))closed_form_sweep, METH_FASTCALL,
      "closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10): bulk\n"
      "power-vs-closed-form comparison; see the pure backend."},
@@ -601,9 +628,35 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
+/* Fetch Skip and the skip reasons from _kernels_py; -1 with an exception set. */
+static int
+load_skip(void)
+{
+    PyObject *py = PyImport_ImportModule("pellucas._kernels_py");
+    if (py == NULL)
+        return -1;
+    PyObject *type = PyObject_GetAttrString(py, "Skip");
+    if (type != NULL && !(PyType_Check(type) &&
+                          PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type))) {
+        PyErr_SetString(PyExc_TypeError, "_kernels_py.Skip must be a tuple subclass");
+        Py_CLEAR(type);
+    }
+    Py_XSETREF(skip_type, (PyTypeObject *)type);
+    int rc = type != NULL ? 0 : -1;
+    for (int code = 0; rc == 0 && code < SKIP_CODES; code++) {
+        Py_XSETREF(skip_reasons[code], PyObject_GetAttrString(py, SKIP_REASON_NAMES[code]));
+        if (skip_reasons[code] == NULL)
+            rc = -1;
+    }
+    Py_DECREF(py);
+    return rc;
+}
+
 PyMODINIT_FUNC
 PyInit__kernels_c(void)
 {
+    if (load_skip() < 0)
+        return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
         Py_CLEAR(m);

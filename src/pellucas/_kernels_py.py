@@ -5,12 +5,15 @@ size thanks to Python's arbitrary-precision arithmetic.  The compiled
 backend in ``_kernels_c`` mirrors these functions for 64-bit moduli; the
 two are cross-checked in the test suite.  ``decide`` holds the per-n
 decisions and outcomes of both tests, for the scan and per-n tests alike.
+The skip record ``Skip`` and its reasons live here too, so that both scans
+return the rows that ``search`` reports.
 
 All functions expect residues already reduced into ``[0, n)`` and an odd
 modulus ``n >= 3`` unless noted otherwise.
 """
 
 import sys
+from collections import namedtuple
 from math import gcd
 
 BACKEND = "pure"
@@ -23,8 +26,16 @@ _MR_BASES_32 = (2, 7, 61)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# Skip codes of ``scan``: indices into ``verdict.SKIP_REASONS``.
-SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC = range(4)
+# An odd n a test did not apply to, with the machine-readable reason and,
+# for a gcd gate, the common factor.  Both scans and ``decide`` return these.
+Skip = namedtuple("Skip", "n reason factor", defaults=(None,))
+# ``Skip(n, reason, factor)`` runs namedtuple's Python-level ``__new__``;
+# ``_tuple_new(Skip, (n, reason, factor))`` builds the same row in half the time.
+_tuple_new = tuple.__new__
+REASON_JACOBI_ZERO = "jacobi-zero"
+REASON_GCD = "gcd-failure"
+REASON_PHI_UNDEFINED = "parametrization-undefined"
+REASON_NOT_ON_CONIC = "point-not-on-conic"
 # Outcomes of a tested n: indices into ``verdict.Status`` (NotApplicable is a skip).
 PRIME, PSEUDOPRIME, DETECTED = range(3)
 
@@ -126,8 +137,7 @@ def decide(kind, strong, params, ns, backend):
     Gates, in order: for "lucas" (P, Q), (D/n) = 0, then gcd(Q, n) > 1;
     for "seed" (d, a) and "point" (d, x, y), phi undefined or the point
     off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
-    into ``skips`` as (n, code, factor or None), the code indexing
-    ``verdict.SKIP_REASONS``.
+    into ``skips`` as ``Skip(n, reason, factor or None)``.
 
     Any other n runs the Lucas core for k = n - (D/n), Pell with P = 2x,
     Q = 1, where (x, y)^k = (V_k/2, y U_k).  The congruence holds iff
@@ -148,11 +158,11 @@ def decide(kind, strong, params, ns, backend):
             dn = (p * p - 4 * q) % n
             eps = backend.jacobi(dn, n)
             if eps == 0:
-                skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
+                skips.append(_tuple_new(Skip, (n, REASON_JACOBI_ZERO, gcd(dn, n))))
                 continue
             g = gcd(q, n)
             if g > 1:
-                skips.append((n, SKIP_GCD, g))
+                skips.append(_tuple_new(Skip, (n, REASON_GCD, g)))
                 continue
             w = p
         else:
@@ -162,22 +172,22 @@ def decide(kind, strong, params, ns, backend):
                 t = (a * a - dn) % n
                 g = gcd(t, n)
                 if g != 1:
-                    skips.append((n, SKIP_PHI_UNDEFINED, g))
+                    skips.append(_tuple_new(Skip, (n, REASON_PHI_UNDEFINED, g)))
                     continue
                 inv = pow(t, -1, n)
                 x, y = (a * a + dn) * inv % n, 2 * a * inv % n
             else:
                 x, y = params[1] % n, params[2] % n
             if (x * x - dn * y * y) % n != 1:
-                skips.append((n, SKIP_NOT_ON_CONIC, None))
+                skips.append(_tuple_new(Skip, (n, REASON_NOT_ON_CONIC, None)))
                 continue
             g = gcd(y, n)
             if g > 1:
-                skips.append((n, SKIP_GCD, g))
+                skips.append(_tuple_new(Skip, (n, REASON_GCD, g)))
                 continue
             eps = backend.jacobi(dn, n)
             if eps == 0:
-                skips.append((n, SKIP_JACOBI_ZERO, gcd(dn, n)))
+                skips.append(_tuple_new(Skip, (n, REASON_JACOBI_ZERO, gcd(dn, n))))
                 continue
             p, q, w = 2 * x % n, 1, y
         k = n - eps

@@ -29,14 +29,9 @@ from .fixtures import KINDS, reproduce
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import as_modulus
 from .search import SearchSpec, iter_blocks
-from .verdict import SKIP_REASONS, Status
+from .verdict import Status
 
 SCHEMA_VERSION = 1
-
-# json.dumps's bytes for one enumerate skip, per reason code, with the n
-# and the factor left open
-_SKIP_JSON = ['{"n": %d, "reason": ' + json.dumps(reason) + ', "factor": %s}'
-              for reason in SKIP_REASONS]
 
 
 def _record(command, **payload):
@@ -160,17 +155,21 @@ def cmd_enumerate(parser, args):
 
 
 def _tally(block):
-    """Render hook for table and CSV: a block's hits, status counts and skips per code."""
+    """Render hook for table and CSV: a block's hits, status counts and skips per reason."""
     hits, skips, counts = block
     return hits, counts, Counter(map(itemgetter(1), skips))
 
 
 def _tally_json(block):
-    """Render hook for JSONL: ``_tally``, plus the block's skips as JSON list items."""
+    """Render hook for JSONL: ``_tally``, plus the block's skips as JSON list items.
+
+    Each item has json.dumps's bytes: a skip reason is a plain ASCII word,
+    which JSON writes as it is.
+    """
     _, skips, _ = block
     text = ", ".join([
-        _SKIP_JSON[code] % (n, "null" if factor is None else factor)
-        for n, code, factor in skips
+        f'{{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
+        for n, reason, factor in skips
     ])
     return _tally(block) + (text,)
 
@@ -184,19 +183,19 @@ def _stream_blocks(spec, workers, spool):
     """
     hits = []
     counts = [0] * len(Status)
-    codes = Counter()
+    reasons = Counter()
     sep = ""
     render = _tally if spool is None else _tally_json
-    for part_hits, part_counts, part_codes, *text in iter_blocks(spec, workers, render):
+    for part_hits, part_counts, part_reasons, *text in iter_blocks(spec, workers, render):
         hits.extend(part_hits)
         counts = [a + b for a, b in zip(counts, part_counts)]
-        codes.update(part_codes)
+        reasons.update(part_reasons)
         if spool is not None and text[0]:
             spool.write(sep)
             spool.write(text[0])
             sep = ", "
     counts = {status.value: count for status, count in zip(Status, counts)}
-    return hits, counts, {SKIP_REASONS[code]: count for code, count in codes.items()}
+    return hits, counts, reasons
 
 
 def cmd_bridge(parser, args):

@@ -15,8 +15,12 @@ the parameters as such before reducing them mod each n.
 ``closed_form_sweep`` runs compiled only below 2**31, so that the C loop
 counters cannot overflow.
 
-Callers pass plain integers; parameters are reduced mod n here so both
-backends see residues in ``[0, n)``.
+``jacobi``, ``lucas_uv`` and ``pell_pow`` take any integers and reduce
+them mod n here, so both backends see residues in ``[0, n)``.  ``scan``
+passes its parameters on as they are, and each scan reduces them mod every
+n itself; a caller of ``backend_for`` reduces its own residues, as
+``_kernels_py.decide`` does.  Both scans return their skips as
+``_kernels_py.Skip`` rows ``(n, reason, factor)``.
 """
 
 from . import _kernels_py as _py
@@ -79,8 +83,9 @@ def scan(kind, strong, params, lo, hi):
 
     ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
     with (d, x, y), as the params' ``kernel_args``; the decisions are
-    ``_kernels_py.decide``'s.  The compiled scan runs when hi and every
-    parameter fit its 64-bit arithmetic, the pure one otherwise.
+    ``_kernels_py.decide``'s, and each skip is a ``Skip`` row.  The
+    compiled scan runs when hi and every parameter fit its 64-bit
+    arithmetic, the pure one otherwise.
     """
     if lo < 3:
         raise ValueError(f"range must start at 3 or above, got {lo}")

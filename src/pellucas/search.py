@@ -7,27 +7,29 @@ of moduli.  Work is split into fixed-size blocks of 2048 integers so
 reports are identical for any worker count.
 
 Each block is one fused scan, ``kernels.scan``: a single kernel call runs
-the test on every odd n of the block and returns plain tuples.
-``iter_blocks`` yields those tuples block by block, in block order, so a
-caller that streams them (the CLI does) holds one block at a time, and can
-have each block rendered where it was scanned (in a pool worker, say);
-``enumerate_range`` collects them, naming each skip's reason in a ``Skip``
-namedtuple.  The scan is compiled when the extension is built and the
-block's end and the test parameters fit in signed 64-bit integers;
-otherwise it runs on the pure-Python kernels.
-The pure scan and the per-n tests share one decision function,
-``_kernels_py.decide``; the C scan mirrors it.
+the test on every odd n of the block and returns its hits, its skips as
+``Skip`` rows ``(n, reason, factor)`` with the reason string already in
+place, and its counts.  ``iter_blocks`` yields those block by block, in
+block order, so a caller that streams them (the CLI does) holds one block
+at a time, and can have each block rendered where it was scanned (in a
+pool worker, say); ``enumerate_range`` collects them as they are.  The
+scan is compiled when the extension is built and the block's end and the
+test parameters fit in signed 64-bit integers; otherwise it runs on the
+pure-Python kernels.  The pure scan and the per-n tests share one
+decision function, ``_kernels_py.decide``; the C scan mirrors it.
 """
 
 import os
 import zlib
 from collections import deque, namedtuple
+from itertools import repeat
 
 from . import kernels
+from ._kernels_py import Skip
 from .conic import PellParams
 from .kernels import MR_DETERMINISTIC_BOUND
 from .lucas import LucasParams
-from .verdict import SKIP_REASONS, Status
+from .verdict import Status
 
 # Integers per work block; fixed so that block boundaries (and therefore
 # merged output) never depend on scheduling.
@@ -66,10 +68,6 @@ class SearchSpec(namedtuple("SearchSpec", "kind params lo hi strong")):
         return cls(*iterable)
 
 
-# An odd n the test did not apply to, with the machine-readable reason.
-Skip = namedtuple("Skip", "n reason factor", defaults=(None,))
-
-
 class SearchReport(namedtuple("SearchReport", "spec pseudoprimes skipped counts")):
     """Deterministic enumeration outcome; equal specs give equal reports."""
 
@@ -94,19 +92,29 @@ def _scan_run(spec, lo, hi, render):
     repetitive text and a run about 1 MB; compressed, a run is about 50 kB.
     Taking in a megabyte per run, the main process's peak RSS would wander
     by about 10% between searches and creep up with the range.
+
+    Unrendered skips go as plain tuples: a ``Skip`` pickles and unpickles
+    through Python-level methods, which took about 5x as long.
     """
     import pickle  # not at the top: see ``_unpack``
 
-    return [zlib.compress(pickle.dumps(block), 1) for block in _scan_blocks(spec, lo, hi, render)]
+    blocks = _scan_blocks(spec, lo, hi, render)
+    if render is None:
+        blocks = ((hits, list(map(tuple, skips)), counts) for hits, skips, counts in blocks)
+    return [zlib.compress(pickle.dumps(block), 1) for block in blocks]
 
 
-def _unpack(future):
+def _unpack(future, render):
     """Yield the blocks of a finished ``_scan_run``, one at a time."""
     # imported here, not at the top: it adds about 3 ms to importing pellucas
     import pickle
 
     for packed in future.result():
-        yield pickle.loads(zlib.decompress(packed))
+        block = pickle.loads(zlib.decompress(packed))
+        if render is None:
+            hits, rows, counts = block
+            block = hits, list(map(tuple.__new__, repeat(Skip), rows)), counts
+        yield block
 
 
 def check_workers(workers):
@@ -147,24 +155,24 @@ def iter_blocks(spec, workers=1, render=None):
             hi = min(lo + RUN_SPAN - 1, spec.hi)
             pending.append(pool.submit(_scan_run, spec, lo, hi, render))
             if len(pending) == LOOKAHEAD * workers:
-                yield from _unpack(pending.popleft())
+                yield from _unpack(pending.popleft(), render)
         while pending:
-            yield from _unpack(pending.popleft())
+            yield from _unpack(pending.popleft(), render)
 
 
 def enumerate_range(spec, workers=1):
     """Run the spec over its range, fanning blocks out to worker processes.
 
     Results are merged in block order, so the report is identical for any
-    ``workers`` value; see ``iter_blocks``.  Each skip is a ``Skip``
-    namedtuple ``(n, reason, factor)``.
+    ``workers`` value; see ``iter_blocks``.  Each skip is the scan's own
+    ``Skip`` namedtuple ``(n, reason, factor)``.
     """
     hits = []
     skips = []
     counts = [0] * len(Status)
     for part_hits, part_skips, part_counts in iter_blocks(spec, workers):
         hits.extend(part_hits)
-        skips.extend(Skip(n, SKIP_REASONS[code], factor) for n, code, factor in part_skips)
+        skips.extend(part_skips)
         counts = [a + b for a, b in zip(counts, part_counts)]
     counts = {status.value: count for status, count in zip(Status, counts)}
     return SearchReport(spec, tuple(hits), tuple(skips), counts)

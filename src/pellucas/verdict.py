@@ -4,7 +4,14 @@ from collections import namedtuple
 from enum import Enum
 
 from . import kernels
-from ._kernels_py import MR_DETERMINISTIC_BOUND, decide
+from ._kernels_py import (  # noqa: F401  (the skip reasons are re-exported)
+    MR_DETERMINISTIC_BOUND,
+    REASON_GCD,
+    REASON_JACOBI_ZERO,
+    REASON_NOT_ON_CONIC,
+    REASON_PHI_UNDEFINED,
+    decide,
+)
 from .modring import as_modulus
 
 
@@ -15,19 +22,17 @@ class Status(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-# Machine-readable reason codes.
+# Machine-readable reasons of a tested n; a skip's come with its ``Skip`` row.
 REASON_PRIME = "prime"
 REASON_HOLDS = "congruence-holds"
 REASON_FAILS = "congruence-fails"
-REASON_GCD = "gcd-failure"
-REASON_NOT_ON_CONIC = "point-not-on-conic"
-REASON_JACOBI_ZERO = "jacobi-zero"
-REASON_PHI_UNDEFINED = "parametrization-undefined"
-
-# The skip reason of each code of ``_kernels_py.decide`` and both scans.
-SKIP_REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT_ON_CONIC)
-# The status and reason of each outcome of ``_kernels_py.decide``.
+# The status and reason of each outcome of ``_kernels_py.decide``, and the
+# status of a skip, read once: reading an enum member takes about 120 ns.
 _OUTCOMES = tuple(zip(Status, (REASON_PRIME, REASON_HOLDS, REASON_FAILS)))
+_NOT_APPLICABLE = Status.NOT_APPLICABLE
+# A per-n test builds its verdict with the C-level ``tuple.__new__``, in half
+# the time of namedtuple's Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
 
 class TestVerdict(namedtuple("TestVerdict", "status reason witnesses")):
@@ -67,9 +72,9 @@ def verdict(n, params, strong):
     kind, args = params.kernel_args
     skips, tested = decide(kind, strong, args, (m,), kernels.backend_for(m))
     if skips:
-        _, code, factor = skips[0]
+        _, reason, factor = skips[0]
         witnesses = {} if factor is None else {"gcd": factor}
-        return TestVerdict(Status.NOT_APPLICABLE, SKIP_REASONS[code], witnesses)
+        return _tuple_new(TestVerdict, (_NOT_APPLICABLE, reason, witnesses))
     _, outcome, u, v, w, k = tested[0]
     if kind != "lucas":
         witnesses = {"x": kernels.half(v, m), "y": w * u % m, "k": k}
@@ -77,4 +82,4 @@ def verdict(n, params, strong):
         witnesses = {"u": u, "u_next": kernels.half((w * u + v) % m, m), "k": k}
     else:
         witnesses = {"u": u, "k": k}
-    return TestVerdict(*_OUTCOMES[outcome], witnesses)
+    return _tuple_new(TestVerdict, _OUTCOMES[outcome] + (witnesses,))

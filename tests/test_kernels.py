@@ -1,6 +1,8 @@
 """Backend parity: the compiled kernels must agree with the pure ones."""
 
+import gc
 import random
+import tracemalloc
 from math import isqrt
 from types import SimpleNamespace
 
@@ -238,6 +240,59 @@ def test_primality_is_asked_only_where_u_vanishes():
                     held = u == 0 and (not strong or v == 2)
                     eager = pure.PSEUDOPRIME if held else pure.DETECTED
                     assert outcome == (pure.PRIME if pure.is_prime(n) else eager), n
+
+
+# One search per gate, so that the rows carry all four skip reasons.
+SKIPPING = (("lucas", (3, 1)), ("lucas", (3, 5)), ("seed", (6, 4)), ("point", (3, 8, 66)))
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_scan_and_decide_return_skip_rows(name):
+    pure, backend = BACKENDS["pure"], BACKENDS[name]
+    reasons = set()
+    for kind, params in SKIPPING:
+        _, scanned, _ = backend.scan(kind, False, params, 3, 3001)
+        decided, _ = pure.decide(kind, False, params, range(3, 3002, 2), backend)
+        assert scanned == decided
+        for row in scanned + decided:
+            assert type(row) is pure.Skip, row
+            reasons.add(row.reason)
+    assert reasons == {pure.REASON_JACOBI_ZERO, pure.REASON_GCD,
+                       pure.REASON_PHI_UNDEFINED, pure.REASON_NOT_ON_CONIC}
+
+
+@PAIRED
+def test_compiled_scan_rows_do_not_leak():
+    # the C scan builds each skip row by hand: a lost reference would keep
+    # every row of every call alive.  The Lucas Q gives gcd factors above
+    # 256, which are not cached ints, so that a lost factor shows too.
+    fast = BACKENDS["compiled"]
+    cases = (("point", (3, 8, 66)), ("seed", (6, 4)), ("lucas", (3, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)))
+
+    def run():
+        for kind, params in cases:
+            fast.scan(kind, False, params, 3, 40_000)
+
+    run()
+    # no collection during the runs: one could run the finalizers of other
+    # tests' garbage, whose allocations would be traced to the scan
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        first = tracemalloc.take_snapshot()
+        for _ in range(20):
+            run()
+        last = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # the snapshots themselves are not the scan's
+    mine = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    diffs = last.filter_traces(mine).compare_to(first.filter_traces(mine), "filename")
+    grown = sum(stat.size_diff for stat in diffs)
+    assert grown <= 0, f"traced memory grew by {grown} bytes"
 
 
 def test_mr_bound_exposed():
