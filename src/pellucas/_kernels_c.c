@@ -11,9 +11,14 @@
  * below 2**63).  The core is a ladder on V alone, and decides U_k by
  * D U_k = 2 V_{k+1} - P V_k: every tested n has gcd(D, n) = 1 (the jacobi
  * gate for Lucas; for Pell D = 4 d y^2 with gcd(y, n) = 1 and (d/n) != 0),
- * so U_k = 0 exactly when 2 V_{k+1} = P V_k.  Primality is asked lazily, as
- * in decide: only where U_k = 0, since a prime that passes the gates always
- * has U_k = 0.  Its skips are rows of _kernels_py's Skip namedtuple, with
+ * so U_k = 0 exactly when 2 V_{k+1} = P V_k.  The scan gates each n in
+ * turn and collects the tested ones into groups of LANES, whose ladders
+ * run side by side, one product of each lane per step, so that the
+ * products overlap in the pipeline; each group is then decided in n order.
+ * Primality is asked lazily, as in decide: only where U_k = 0, since a
+ * prime that passes the gates always has U_k = 0.  Miller-Rabin takes the
+ * bases that n's size needs (_kernels_py.MR_BATTERY) and runs them in
+ * lockstep too.  Its skips are rows of _kernels_py's Skip namedtuple, with
  * the reason strings that module defines; the module init fetches both.
  *
  * Build in place with:  python setup.py build_ext --inplace
@@ -33,10 +38,26 @@ typedef unsigned __int128 u128;
 #define AS_U64 PyLong_AsUnsignedLongLong
 #endif
 
-/* Strong-probable-prime bases: {2, 7, 61} decide every n < 2**32
- * (Jaeschke 1993), all twelve every n < 3317044064679887385961981. */
-static const u64 MR_BASES_32[3] = {2, 7, 61};
-static const u64 MR_BASES[12] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+/* The rows of _kernels_py.MR_BATTERY that u64 moduli reach: no composite
+ * below a row's bound is a strong probable prime to every one of its bases
+ * (OEIS A014233).  The last row's bound lies above 2**64, so that row
+ * takes every n the rows before it do not. */
+enum { MR_ROWS = 6, MR_MAX_BASES = 12 };
+static const struct {
+    u64 bound;
+    int count;
+    u64 bases[MR_MAX_BASES];
+} MR_BATTERY[MR_ROWS] = {
+    {1373653, 2, {2, 3}},
+    {4759123141, 3, {2, 7, 61}},
+    {3474749660383, 6, {2, 3, 5, 7, 11, 13}},
+    {341550071728321, 7, {2, 3, 5, 7, 11, 13, 17}},
+    {3825123056546413051, 9, {2, 3, 5, 7, 11, 13, 17, 19, 23}},
+    {UINT64_MAX, 12, {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}},
+};
+
+/* The scan's group size: it runs the V-ladder of this many n at once. */
+enum { LANES = 4 };
 
 static inline u64
 mulmod(u64 a, u64 b, u64 n)
@@ -50,6 +71,16 @@ addmod(u64 a, u64 b, u64 n)
     /* a, b < n < 2**63: the sum cannot overflow */
     u64 s = a + b;
     return s >= n ? s - n : s;
+}
+
+/* 2a mod n for a < n, for every n < 2**64: a carry out of 2a means
+ * 2a >= 2**64 > n.  The subtraction is masked, not branched on, since
+ * whether it happens depends on a and cannot be predicted. */
+static inline u64
+dblmod(u64 a, u64 n)
+{
+    u64 s = a << 1;
+    return s - (n & (0 - ((a >> 63) | (s >= n))));
 }
 
 static inline u64
@@ -116,64 +147,111 @@ to_mont(u64 a, const mont *m)
     return mont_mul(a, m->r2, m);
 }
 
-/* (V_k, V_{k+1}) for k >= 1, every residue in Montgomery form and n < 2**63.
- * The ladder keeps (V_j, V_{j+1}) over the leading bits j of k, by
- * V_{2j} = V_j^2 - 2Q^j and V_{2j+1} = V_j V_{j+1} - P Q^j (Crandall and
- * Pomerance, Prime Numbers, 3.6): 2 products per bit when Q = 1.  Only
- * for Q != 1 is Q^j tracked as well, for 4 or 5 products per bit. */
+/* LANES tested n of one scan, in n order: each n's Montgomery context, its
+ * P and Q in Montgomery form, and its k = n - (D/n). */
+typedef struct {
+    mont m[LANES];
+    u64 p[LANES], q[LANES], k[LANES];
+} group;
+
+/* (V_k, V_{k+1}) of every lane of g at once, lane l mod g->m[l].n, which is
+ * odd and below 2**63.  The ladder keeps (V_j, V_{j+1}) over the leading
+ * bits j of k, by V_{2j} = V_j^2 - 2Q^j and V_{2j+1} = V_j V_{j+1} - P Q^j
+ * (Crandall and Pomerance, Prime Numbers, 3.6): 2 products per bit when
+ * Q = 1.  Only when some lane has Q != 1 is Q^j tracked as well, for 4 or
+ * 5 products per bit; for a lane with Q = 1 that stays exact.  Every lane
+ * starts at (V_0, V_1) = (2, P), Q^0 = 1, at the top bit of the widest k:
+ * a leading 0 bit leaves that state as it is, so the lanes' k may differ
+ * in length.  The lanes' products do not wait on each other, so they
+ * overlap in the pipeline where one ladder would wait on each in turn. */
 static void
-v_ladder(u64 p, u64 q, u64 k, const mont *m, u64 *vk, u64 *vk1)
+v_ladder(const group *g, u64 *v0, u64 *v1)
 {
-    u64 n = m->n, two_q = addmod(m->one, m->one, n), pq = p, qj = q;
-    u64 v0 = p, v1 = submod(mont_mul(p, p, m), addmod(q, q, n), n);
-    int track = q != m->one;
-    for (u64 bit = top_bit(k) >> 1; bit; bit >>= 1) {
-        int set = (k & bit) != 0;
-        if (track) {
-            u64 qs = set ? mont_mul(qj, q, m) : qj;  /* Q^(j + set) */
-            pq = mont_mul(p, qj, m);
-            two_q = addmod(qs, qs, n);
-            qj = mont_mul(qj, qs, m);
-        }
-        u64 mid = submod(mont_mul(v0, v1, m), pq, n);
-        u64 sq = submod(mont_mul(set ? v1 : v0, set ? v1 : v0, m), two_q, n);
-        v0 = set ? mid : sq;
-        v1 = set ? sq : mid;
+    const mont *m = g->m;
+    const u64 *p = g->p, *q = g->q, *k = g->k;
+    u64 pq[LANES], two_q[LANES], qj[LANES], all_k = 0;
+    int track = 0;
+    for (int l = 0; l < LANES; l++) {
+        v0[l] = addmod(m[l].one, m[l].one, m[l].n);
+        v1[l] = pq[l] = p[l];
+        two_q[l] = v0[l];
+        qj[l] = m[l].one;
+        track |= q[l] != m[l].one;
+        all_k |= k[l];
     }
-    *vk = v0;
-    *vk1 = v1;
+    for (u64 bit = top_bit(all_k); bit; bit >>= 1) {
+        for (int l = 0; l < LANES; l++) {
+            const mont *ml = &m[l];
+            u64 n = ml->n;
+            int set = (k[l] & bit) != 0;
+            if (track) {
+                u64 qs = set ? mont_mul(qj[l], q[l], ml) : qj[l];  /* Q^(j + set) */
+                pq[l] = mont_mul(p[l], qj[l], ml);
+                two_q[l] = addmod(qs, qs, n);
+                qj[l] = mont_mul(qj[l], qs, ml);
+            }
+            u64 a = v0[l], b = v1[l], c = set ? b : a;
+            u64 mid = submod(mont_mul(a, b, ml), pq[l], n);
+            u64 sq = submod(mont_mul(c, c, ml), two_q[l], n);
+            v0[l] = set ? mid : sq;
+            v1[l] = set ? sq : mid;
+        }
+    }
 }
 
-/* Deterministic primality of an odd n >= 3, on Montgomery products. */
-static int
-is_prime_mont(const mont *m)
+/* Whether odd n >= 3, coprime to every base, is a strong probable prime to
+ * each of the `count` bases, with n - 1 = d 2**s.  The bases run in
+ * lockstep: each step takes the product of every base before the next, so
+ * the products overlap in the pipeline. */
+static inline __attribute__((always_inline)) int
+mr_lockstep(const mont *m, const u64 *bases, int count, u64 d, int s)
 {
-    u64 n = m->n, d = n - 1, minus_one = n - m->one;
-    const u64 *bases = n < ((u64)1 << 32) ? MR_BASES_32 : MR_BASES;
-    int count = n < ((u64)1 << 32) ? 3 : 12, s = 0;
+    u64 x[MR_MAX_BASES], b[MR_MAX_BASES], minus_one = m->n - m->one;
+    unsigned open = 0;  /* the bases whose powers have not yet met -1 */
     for (int j = 0; j < count; j++)
+        x[j] = b[j] = to_mont(bases[j], m);
+    for (u64 bit = top_bit(d) >> 1; bit; bit >>= 1) {
+        for (int j = 0; j < count; j++)
+            x[j] = mont_mul(x[j], x[j], m);
+        if (d & bit)
+            for (int j = 0; j < count; j++)  /* x 2 needs no product */
+                x[j] = bases[j] == 2 ? dblmod(x[j], m->n) : mont_mul(x[j], b[j], m);
+    }
+    for (int j = 0; j < count; j++)
+        if (x[j] != m->one && x[j] != minus_one)
+            open |= 1u << j;
+    for (int i = 1; i < s && open; i++)
+        for (int j = 0; j < count; j++)
+            if (open >> j & 1 && (x[j] = mont_mul(x[j], x[j], m)) == minus_one)
+                open &= ~(1u << j);
+    return open == 0;  /* an open base is a witness: n is composite */
+}
+
+/* Deterministic primality of an odd n >= 3, on Montgomery products, with
+ * the bases of the first MR_BATTERY row whose bound is above n.  With
+ * `screen`, base 2 runs alone first, and the rest only if it passes: most
+ * composites fail base 2, so an arbitrary n pays for one base.  Without
+ * it every base runs in lockstep, for the scan, which asks only where
+ * U_k = 0, so that n is almost always prime. */
+static int
+is_prime_mont(const mont *m, int screen)
+{
+    u64 n = m->n, d = n - 1;
+    int row = 0, s = 0;
+    while (row < MR_ROWS - 1 && n >= MR_BATTERY[row].bound)
+        row++;
+    const u64 *bases = MR_BATTERY[row].bases;
+    int count = MR_BATTERY[row].count;
+    for (int j = 1; j < count; j++)  /* bases[0] = 2 divides no odd n */
         if (n % bases[j] == 0)
             return n == bases[j];
     while ((d & 1) == 0) {
         d >>= 1;
         s++;
     }
-    for (int j = 0; j < count; j++) {
-        u64 b = to_mont(bases[j], m), x = b;
-        for (u64 bit = top_bit(d) >> 1; bit; bit >>= 1) {
-            x = mont_mul(x, x, m);
-            if (d & bit)
-                x = mont_mul(x, b, m);
-        }
-        if (x == m->one || x == minus_one)
-            continue;
-        int i = 1;
-        while (i < s && (x = mont_mul(x, x, m)) != minus_one)
-            i++;
-        if (i == s)
-            return 0;  /* bases[j] is a witness: n is composite */
-    }
-    return 1;
+    if (screen)
+        return mr_lockstep(m, bases, 1, d, s) && mr_lockstep(m, bases + 1, count - 1, d, s);
+    return mr_lockstep(m, bases, count, d, s);
 }
 
 /* Convert exactly `want` positional arguments to u64; -1 with an
@@ -316,7 +394,7 @@ is_prime(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (n < 3 || !(n & 1))
         return PyBool_FromLong(n == 2);
     mont_init(&m, n);
-    return PyBool_FromLong(is_prime_mont(&m));
+    return PyBool_FromLong(is_prime_mont(&m, 1));
 }
 
 static u64
@@ -393,6 +471,43 @@ add_skip(PyObject *skips, u64 n, int code, u64 factor)
     return rc;
 }
 
+/* Decide the first `used` lanes of g, in n order, and pad the rest with
+ * copies of lane 0: count each prime and each detected composite, and
+ * append each pseudoprime to hits; -1 with an exception set. */
+static int
+decide_group(group *g, int used, int strong, PyObject *hits,
+             unsigned long long *primes, unsigned long long *detected)
+{
+    u64 v[LANES], v1[LANES];
+    for (int l = used; l < LANES; l++) {
+        g->m[l] = g->m[0];
+        g->p[l] = g->p[0];
+        g->q[l] = g->q[0];
+        g->k[l] = g->k[0];
+    }
+    v_ladder(g, v, v1);
+    for (int l = 0; l < used; l++) {
+        const mont *m = &g->m[l];
+        u64 n = m->n;
+        /* D U_k = 2 V_{k+1} - P V_k with gcd(D, n) = 1 past the gates, so
+         * U_k = 0 exactly when 2 V_{k+1} = P V_k; a prime always has
+         * U_k = 0, so only then can n be prime */
+        if (addmod(v1[l], v1[l], n) != mont_mul(g->p[l], v[l], m))
+            (*detected)++;
+        else if (is_prime_mont(m, 0))
+            (*primes)++;
+        else if (!strong || v[l] == addmod(m->one, m->one, n)) {
+            PyObject *hit = PyLong_FromUnsignedLongLong(n);
+            int rc = hit ? PyList_Append(hits, hit) : -1;
+            Py_XDECREF(hit);
+            if (rc < 0)
+                return -1;
+        } else
+            (*detected)++;
+    }
+    return 0;
+}
+
 static PyObject *
 scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -445,13 +560,15 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     PyObject *hits = PyList_New(0), *skips = PyList_New(0);
     unsigned long long primes = 0, detected = 0;
+    group grp;
+    int used = 0;  /* the lanes of grp filled so far */
     if (hits == NULL || skips == NULL)
         goto fail;
     /* count the odd n rather than step past hi, which may be 2**63 - 1 */
     u64 first = lo | 1;
     u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
     for (u64 i = 0; i < count; i++) {
-        u64 n = first + 2 * i, p, q, dn, g, v, v1;
+        u64 n = first + 2 * i, p, q, dn, g;
         int eps;
         if (kind == LUCAS) {
             p = reduce(par[0], n);
@@ -508,26 +625,18 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             p = addmod(x, x, n);
             q = 1;
         }
-        mont m;
-        mont_init(&m, n);
-        p = to_mont(p, &m);
-        v_ladder(p, to_mont(q, &m), eps > 0 ? n - 1 : n + 1, &m, &v, &v1);
-        /* D U_k = 2 V_{k+1} - P V_k with gcd(D, n) = 1 past the gates, so
-         * U_k = 0 exactly when 2 V_{k+1} = P V_k; a prime always has
-         * U_k = 0, so only then can n be prime */
-        if (addmod(v1, v1, n) != mont_mul(p, v, &m))
-            detected++;
-        else if (is_prime_mont(&m))
-            primes++;
-        else if (!strong || v == addmod(m.one, m.one, n)) {
-            PyObject *hit = PyLong_FromUnsignedLongLong(n);
-            int rc = hit ? PyList_Append(hits, hit) : -1;
-            Py_XDECREF(hit);
-            if (rc < 0)
+        mont_init(&grp.m[used], n);
+        grp.p[used] = to_mont(p, &grp.m[used]);
+        grp.q[used] = to_mont(q, &grp.m[used]);
+        grp.k[used] = eps > 0 ? n - 1 : n + 1;
+        if (++used == LANES) {
+            if (decide_group(&grp, used, strong, hits, &primes, &detected) < 0)
                 goto fail;
-        } else
-            detected++;
+            used = 0;
+        }
     }
+    if (used > 0 && decide_group(&grp, used, strong, hits, &primes, &detected) < 0)
+        goto fail;
     return Py_BuildValue("(NN(KnKn))", hits, skips, primes, PyList_GET_SIZE(hits),
                          detected, PyList_GET_SIZE(skips));
 fail:

@@ -18,13 +18,23 @@ from math import gcd
 
 BACKEND = "pure"
 
-# Deterministic strong-probable-prime bases: no composite below 2**32
-# passes {2, 7, 61} (Jaeschke 1993; the first is 4759123141), and no
-# composite below 3317044064679887385961981 passes all twelve (Sorenson &
-# Webster).
-_MR_BASES_32 = (2, 7, 61)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Deterministic Miller-Rabin, sized to n: in each (bound, bases) row, no
+# composite below bound is a strong probable prime to every base, and the
+# bound itself is the first composite that is (OEIS A014233).  Pomerance,
+# Selfridge & Wagstaff 1980 (2, 3); Jaeschke 1993 (2, 7, 61 and the first
+# 6 and 7 primes); Jiang & Deng 2014 (9 primes); Sorenson & Webster 2017
+# (12 and 13 primes).  ``is_prime`` takes the first row whose bound is above
+# n; the compiled kernels mirror the rows that 64-bit moduli reach.
+MR_BATTERY = (
+    (1373653, (2, 3)),
+    (4759123141, (2, 7, 61)),
+    (3474749660383, (2, 3, 5, 7, 11, 13)),
+    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
+MR_DETERMINISTIC_BOUND = MR_BATTERY[-1][0]
 
 # An odd n a test did not apply to, with the machine-readable reason and,
 # for a gcd gate, the common factor.  Both scans and ``decide`` return these.
@@ -107,15 +117,17 @@ def _mr_witness(a, d, s, n):
 
 
 def is_prime(n):
-    """Deterministic primality for n < 3317044064679887385961981.
+    """Deterministic primality for n < MR_DETERMINISTIC_BOUND.
 
-    The strong-probable-prime bases {2, 7, 61} below 2**32, the 12-base
-    battery at and above it.  A base that n divides is no witness: n is
-    then prime exactly when it equals the base.
+    Runs the bases of the first ``MR_BATTERY`` row whose bound is above n.
+    A base that n divides is no witness: n is then prime exactly when it
+    equals the base.
     """
     if n < 2:
         return False
-    bases = _MR_BASES_32 if n < 1 << 32 else _MR_BASES
+    for bound, bases in MR_BATTERY:
+        if n < bound:
+            break
     for a in bases:
         if n % a == 0:
             return n == a

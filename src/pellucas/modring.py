@@ -45,10 +45,11 @@ def jacobi(a, n):
 def is_composite(n):
     """True iff n is composite; deterministic and exact.
 
-    Below 2**32 the strong-probable-prime bases {2, 7, 61} decide it
-    (Jaeschke 1993); at and above 2**32, a fixed 12-base battery with no
-    composite counterexample below ``kernels.MR_DETERMINISTIC_BOUND``.
-    Larger inputs are rejected rather than answered probabilistically.
+    Miller-Rabin with the bases that n's size needs: from {2, 3} below
+    1373653 up to the 13 prime bases through 41, which no composite below
+    ``kernels.MR_DETERMINISTIC_BOUND`` passes (Sorenson & Webster; the
+    rows are ``_kernels_py.MR_BATTERY``).  Larger inputs are rejected
+    rather than answered probabilistically.
     """
     if n < 2:
         raise ValueError(f"compositeness is defined for n >= 2, got {n}")

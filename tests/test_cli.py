@@ -35,6 +35,13 @@ def test_lucas_test_table(capsys):
     assert "Pseudoprime" in out
 
 
+def test_lucas_test_above_2_63_is_not_called_prime(capsys):
+    # psi_12, a strong pseudoprime to the twelve prime bases up to 37
+    code, out = run(capsys, "lucas-test", "318665857834031151167461", "--p", "3")
+    assert code == 0
+    assert "-> Pseudoprime (congruence-holds)" in out
+
+
 def test_lucas_test_jsonl_roundtrip(capsys):
     code, out = run(capsys, "lucas-test", "21", "--p", "3", "--q", "1", "--format", "jsonl")
     assert code == 0

@@ -3,7 +3,7 @@
 import gc
 import random
 import tracemalloc
-from math import isqrt
+from math import isqrt, prod
 from types import SimpleNamespace
 
 import pytest
@@ -72,10 +72,12 @@ def test_is_prime_parity():
     pure, fast = BACKENDS["pure"], BACKENDS["compiled"]
     for n in range(2, 2000):
         assert pure.is_prime(n) == fast.is_prime(n)
-    # straddle the switch from bases {2, 7, 61} to the 12-base battery at 2**32
-    for n in range(2**32 - 20, 2**32 + 20):
-        assert pure.is_prime(n) == fast.is_prime(n)
-    for n in _random_cases(50, 60) + list(range(2**63 - 60, 2**63)):
+    # straddle 2**32 and every switch of the battery that a u64 reaches
+    for edge in [2**32] + [bound for bound, _ in pure.MR_BATTERY if bound < 2**64]:
+        for n in range(edge - 20, edge + 20):
+            assert pure.is_prime(n) == fast.is_prime(n)
+    # Montgomery products are exact for every odd n < 2**64
+    for n in _random_cases(50, 60) + list(range(2**63 - 60, 2**63)) + list(range(2**64 - 60, 2**64)):
         assert pure.is_prime(n) == fast.is_prime(n)
 
 
@@ -97,8 +99,11 @@ def test_is_prime_matches_trial_division(name):
     is_prime = BACKENDS[name].is_prime
     windows = [
         (0, 300_000, 1),
-        (2**32 - 600_000 + 1, 2**32, 2),  # 300,000 odd n below the base switch
+        (2**32 - 600_000 + 1, 2**32, 2),  # 300,000 odd n below 2**32
         (2**32 + 1, 2**32 + 1001, 1),
+        # across the battery's switches from 2 to 3 bases and from 6 to 7
+        (1373653 - 1000, 1373653 + 1000, 1),
+        (3474749660383 - 1000, 3474749660383 + 1000, 1),
     ]
     for lo, hi, step in windows:
         primes = sieve_primes(lo, hi)
@@ -126,6 +131,44 @@ def test_is_prime_above_2_32(name):
         assert x == 1 or n - 1 in [pow(x, 2**i, n) for i in range(s)]
     assert not is_prime(n)
     assert is_prime(2**61 - 1) and is_prime(2**63 - 25)
+
+
+# Each MR_BATTERY bound as a product of primes (OEIS A014233).
+BATTERY_FACTORS = {
+    1373653: (829, 1657),
+    4759123141: (48781, 97561),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n passes the Miller-Rabin round for base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or n - 1 in [pow(x, 2**i, n) for i in range(s)]
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_battery_rows_end_at_their_first_pseudoprime(name):
+    # each row's bound is composite and passes every base of its row, so
+    # the row can reach no further; is_prime, which takes the next row
+    # there, calls it composite.  The last bound is the battery's own.
+    pure, backend = BACKENDS["pure"], BACKENDS[name]
+    assert pure.MR_BATTERY[-1][0] == pure.MR_DETERMINISTIC_BOUND
+    assert [bound for bound, _ in pure.MR_BATTERY] == sorted(BATTERY_FACTORS)
+    limit = kernels._C_LIMIT if name == "compiled" else pure.MR_DETERMINISTIC_BOUND
+    for bound, bases in pure.MR_BATTERY:
+        factors = BATTERY_FACTORS[bound]
+        assert prod(factors) == bound and min(factors) > 1
+        assert all(strong_probable_prime(bound, a) for a in bases)
+        if bound < limit:
+            assert not backend.is_prime(bound)
 
 
 @PAIRED

@@ -8,6 +8,7 @@ from pellucas import (
     LucasParams,
     PellParams,
     Status,
+    _kernels_py,
     is_composite,
     lucas_test,
     lucas_uv_mod,
@@ -166,6 +167,16 @@ def test_bound_comes_before_the_gates():
     for test, params in cases:
         with pytest.raises(ValueError, match="deterministic primality bound"):
             test(n, params)
+
+
+def test_strong_pseudoprime_to_twelve_bases_is_not_prime():
+    # psi_12 passes every prime base up to 37 and lies below the bound: only
+    # base 41 exposes it (Sorenson & Webster), and the pure backend takes it
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441 and 2**63 < n < MR_DETERMINISTIC_BOUND
+    assert not _kernels_py.is_prime(n)
+    assert is_composite(n)
+    assert lucas_test(n, LucasParams(3, 1)).status is Status.PSEUDOPRIME
 
 
 def test_strong_implies_ordinary():

@@ -451,6 +451,40 @@ def test_scan_finds_pseudoprimes_above_2_32(name):
             assert backend_scan(name, kind, strong, params, n - 80, n + 80) == expected
 
 
+# The compiled scan ladders its tested n in groups of four.  Lucas (4, 3)
+# has D = 4, a square; (5, -1) has D = 29.
+LANE_CASES = [("lucas", (3, 1)), ("lucas", (5, -1)), ("lucas", (4, 3)), ("seed", (6, 4)),
+              ("point", (3, 7, 4))]
+
+
+@pytest.mark.parametrize("j", [20, 32, 40, 62])
+def test_scan_groups_across_a_power_of_two(j):
+    # about 300 odd n, so many groups; those across 2**j hold k of j and of
+    # j + 1 bits.  Lucas (4, n0 + 1) has Q = 1 mod n0 alone, so a scan
+    # from n0 puts a lane with Q = 1 first in a group that tracks Q^j for
+    # the lanes after it; 100 such n0 put primes in those lanes.
+    cases = [(kind, params, 2**j - 300, 2**j + 300) for kind, params in LANE_CASES]
+    cases += [("lucas", (4, n0 + 1), n0, n0 + 12) for n0 in range(2**j + 1, 2**j + 201, 2)]
+    for kind, params, lo, hi in cases:
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, lo, hi)
+            for name in BACKENDS:
+                assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
+
+
+@pytest.mark.parametrize("odd_count", [1, 3, 5, 7])
+def test_scan_short_ranges(odd_count):
+    # fewer odd n than a group, or one group and a partial one
+    for lo in (3, 2**20 - 5, 2**32 - 5, 10**12 + 39, 2**62 - 5, 2**63 - 2 * odd_count + 1):
+        hi = lo + 2 * (odd_count - 1)
+        for kind, params in LANE_CASES:
+            for strong in (False, True):
+                expected = per_n_scan(kind, strong, params, lo, hi)
+                assert sum(expected[2]) == odd_count
+                for name in BACKENDS:
+                    assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
+
+
 def test_scan_dispatch_either_side_of_the_compiled_limit():
     # hi and the parameters just inside the signed 64-bit range take the
     # compiled scan when it is built; one past it, the pure scan
