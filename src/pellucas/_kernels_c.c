@@ -6,9 +6,12 @@
  * the pure backend.
  *
  * scan makes the decisions of _kernels_py.decide, gates, outcomes and
- * counts alike, by a cheaper route.  Its Lucas core and is_prime run on
- * Montgomery products, which need an odd modulus (every n here is odd and
- * below 2**63).  The core is a ladder on V alone, and decides U_k by
+ * counts alike, by a cheaper route, for the same kinds and records: "lucas"
+ * with a LucasParams (P, Q), "pell" with a PellParams (d, x, y, a), whose a
+ * is None for a point.  Only a point is checked for the conic: phi's image
+ * of a seed a is always on it, as (a^2 + d)^2 - d (2a)^2 = (a^2 - d)^2.
+ * Its Lucas core and is_prime run on Montgomery products, which need an odd
+ * modulus (every n here is odd and below 2**63).  The core is a ladder on V alone, and decides U_k by
  * D U_k = 2 V_{k+1} - P V_k: every tested n has gcd(D, n) = 1 (the jacobi
  * gate for Lucas; for Pell D = 4 d y^2 with gcd(y, n) = 1 and (d/n) != 0),
  * so U_k = 0 exactly when 2 V_{k+1} = P V_k.  The scan gates each n in
@@ -511,34 +514,32 @@ decide_group(group *g, int used, int strong, PyObject *hits,
 static PyObject *
 scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    enum { LUCAS, SEED, POINT } kind;
     long long par[3];
     u64 lo, hi;
     if (nargs != 5) {
         PyErr_Format(PyExc_TypeError, "scan() takes 5 arguments (%zd given)", nargs);
         return NULL;
     }
-    if (PyUnicode_CompareWithASCIIString(args[0], "lucas") == 0)
-        kind = LUCAS;
-    else if (PyUnicode_CompareWithASCIIString(args[0], "seed") == 0)
-        kind = SEED;
-    else if (PyUnicode_CompareWithASCIIString(args[0], "point") == 0)
-        kind = POINT;
-    else {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "kind must be 'lucas', 'seed' or 'point'");
+    /* PyUnicode_CompareWithASCIIString reads any object as a str */
+    int is_str = PyUnicode_Check(args[0]);
+    int lucas = is_str && PyUnicode_CompareWithASCIIString(args[0], "lucas") == 0;
+    if (!lucas && !(is_str && PyUnicode_CompareWithASCIIString(args[0], "pell") == 0)) {
+        PyErr_Format(PyExc_ValueError, "kind must be 'lucas' or 'pell', got %R", args[0]);
         return NULL;
     }
     int strong = PyObject_IsTrue(args[1]);
     if (strong < 0)
         return NULL;
-    Py_ssize_t want = kind == POINT ? 3 : 2;
+    Py_ssize_t want = lucas ? 2 : 4;
     if (!PyTuple_Check(args[2]) || PyTuple_GET_SIZE(args[2]) != want) {
         PyErr_Format(PyExc_TypeError, "scan() needs a tuple of %zd parameters", want);
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < want; i++) {
-        par[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(args[2], i));
+    /* the one place where a seed is told from a point */
+    int seed = !lucas && PyTuple_GET_ITEM(args[2], 3) != Py_None;
+    /* (P, Q), a seed's (d, a) or a point's (d, x, y); None is a TypeError */
+    for (Py_ssize_t i = 0; i < (lucas || seed ? 2 : 3); i++) {
+        par[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(args[2], seed && i == 1 ? 3 : i));
         if (par[i] == -1 && PyErr_Occurred())
             return NULL;
     }
@@ -570,7 +571,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     for (u64 i = 0; i < count; i++) {
         u64 n = first + 2 * i, p, q, dn, g;
         int eps;
-        if (kind == LUCAS) {
+        if (lucas) {
             p = reduce(par[0], n);
             q = reduce(par[1], n);
             dn = submod(mulmod(p, p, n), mulmod(4 % n, q, n), n);
@@ -589,7 +590,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         } else {
             u64 x, y;
             dn = reduce(par[0], n);
-            if (kind == SEED) {
+            if (seed) {
                 u64 a = reduce(par[1], n), a2 = mulmod(a, a, n);
                 u64 t = submod(a2, dn, n);
                 g = gcd_u64(t, n);
@@ -604,11 +605,11 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             } else {
                 x = reduce(par[1], n);
                 y = reduce(par[2], n);
-            }
-            if (submod(mulmod(x, x, n), mulmod(dn, mulmod(y, y, n), n), n) != 1) {
-                if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
-                    goto fail;
-                continue;
+                if (submod(mulmod(x, x, n), mulmod(dn, mulmod(y, y, n), n), n) != 1) {
+                    if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
+                        goto fail;
+                    continue;
+                }
             }
             g = gcd_u64(y, n);
             if (g > 1) {
@@ -719,10 +720,9 @@ static PyMethodDef methods[] = {
     {"is_prime", (PyCFunction)(void (*)(void))is_prime, METH_FASTCALL,
      "is_prime(n): deterministic primality for n < 2**63; see the pure backend."},
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
-     "scan(kind, strong, params, lo, hi): one test over every odd n in [lo, hi],\n"
-     "for hi < 2**63 and parameters in signed 64-bit range; returns (hits, skips,\n"
-     "counts), each skip a _kernels_py.Skip row (n, reason, factor); see the pure\n"
-     "backend."},
+     "scan(kind, strong, params, lo, hi): the \"lucas\" or \"pell\" test of a params\n"
+     "record over every odd n in [lo, hi], for hi < 2**63 and parameters in signed\n"
+     "64-bit range; returns (hits, skips, counts); see kernels.scan."},
     {"closed_form_sweep", (PyCFunction)(void (*)(void))closed_form_sweep, METH_FASTCALL,
      "closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10): bulk\n"
      "power-vs-closed-form comparison; see the pure backend."},

@@ -145,9 +145,11 @@ def decide(kind, strong, params, ns, backend):
     The one Python copy of the per-n decisions: ``scan`` collects them,
     ``verdict.verdict`` turns one into a verdict, and the C ``scan``
     mirrors them.  ``backend`` is a module with ``jacobi``, ``lucas_uv``
-    and ``is_prime``.  The parameters are any integers, reduced mod each n.
-    Gates, in order: for "lucas" (P, Q), (D/n) = 0, then gcd(Q, n) > 1;
-    for "seed" (d, a) and "point" (d, x, y), phi undefined or the point
+    and ``is_prime``.  ``kind`` is "lucas" with a ``LucasParams`` (P, Q)
+    or "pell" with a ``PellParams`` (d, x, y, a), any other raises
+    ``ValueError``; the parameters are any integers, reduced mod each n.
+    Gates, in order: for Lucas, (D/n) = 0, then gcd(Q, n) > 1; for Pell,
+    phi undefined for a seed (its image is always on the conic) or a point
     off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
     into ``skips`` as ``Skip(n, reason, factor or None)``.
 
@@ -162,11 +164,18 @@ def decide(kind, strong, params, ns, backend):
     (D/n) = -1, so U_k = 0 always asks.)  A tested n goes into ``tested``
     as (n, outcome, U_k, V_k, w, k), with w = P for Lucas and y for Pell.
     """
+    lucas = kind == "lucas"
+    if lucas:
+        P, Q = params  # unpacked once: the other kind's record does not fit
+    elif kind == "pell":
+        d, x0, y0, a0 = params
+    else:
+        raise ValueError(f"kind must be 'lucas' or 'pell', got {kind!r}")
     skips = []
     tested = []
     for n in ns:
-        if kind == "lucas":
-            p, q = params[0] % n, params[1] % n
+        if lucas:
+            p, q = P % n, Q % n
             dn = (p * p - 4 * q) % n
             eps = backend.jacobi(dn, n)
             if eps == 0:
@@ -178,9 +187,9 @@ def decide(kind, strong, params, ns, backend):
                 continue
             w = p
         else:
-            dn = params[0] % n
-            if kind == "seed":
-                a = params[1] % n
+            dn = d % n
+            if a0 is not None:
+                a = a0 % n
                 t = (a * a - dn) % n
                 g = gcd(t, n)
                 if g != 1:
@@ -189,10 +198,10 @@ def decide(kind, strong, params, ns, backend):
                 inv = pow(t, -1, n)
                 x, y = (a * a + dn) * inv % n, 2 * a * inv % n
             else:
-                x, y = params[1] % n, params[2] % n
-            if (x * x - dn * y * y) % n != 1:
-                skips.append(_tuple_new(Skip, (n, REASON_NOT_ON_CONIC, None)))
-                continue
+                x, y = x0 % n, y0 % n
+                if (x * x - dn * y * y) % n != 1:
+                    skips.append(_tuple_new(Skip, (n, REASON_NOT_ON_CONIC, None)))
+                    continue
             g = gcd(y, n)
             if g > 1:
                 skips.append(_tuple_new(Skip, (n, REASON_GCD, g)))

@@ -118,7 +118,7 @@ def cmd_enumerate(parser, args):
         # the skips go to a spool as text, block by block, and from there
         # into the record between its head and its counts
         with tempfile.TemporaryFile("w+") as spool:
-            hits, counts, _ = _stream_blocks(spec, args.workers, spool)
+            hits, counts = _stream_blocks(spec, args.workers, _tally_json, spool.write)
             head = _record(
                 "enumerate",
                 kind=args.kind,
@@ -129,16 +129,19 @@ def cmd_enumerate(parser, args):
             )
             sys.stdout.write(json.dumps(head, separators=(", ", ": "))[:-1] + ', "skipped": [')
             spool.seek(0)
+            spool.read(2)  # the ", " before the first item
             shutil.copyfileobj(spool, sys.stdout)
             tail = json.dumps({"counts": counts}, separators=(", ", ": "))
             sys.stdout.write("], " + tail[1:] + "\n")
         return 0
-    hits, counts, reasons = _stream_blocks(spec, args.workers, None)
     if args.format == "csv":
+        hits, _ = _stream_blocks(spec, args.workers, _tally)
         # the header is printed even when there are no hits
         row = _record("enumerate", kind=args.kind, **shown, n=None)
         _print_csv([dict(row, n=n) for n in hits], columns=list(row))
         return 0
+    reasons = Counter()
+    hits, counts = _stream_blocks(spec, args.workers, _tally_reasons, reasons.update)
     lines = [
         f"{args.kind} pseudoprimes in [{args.lo}, {args.to}] "
         + " ".join(f"{k}={v}" for k, v in shown.items())
@@ -155,47 +158,46 @@ def cmd_enumerate(parser, args):
 
 
 def _tally(block):
-    """Render hook for table and CSV: a block's hits, status counts and skips per reason."""
+    """Render hook for CSV: a block's hits and status counts, and no skips."""
+    hits, _, counts = block
+    return hits, counts, None
+
+
+def _tally_reasons(block):
+    """Render hook for the table: ``_tally``, with the block's skips counted per reason."""
     hits, skips, counts = block
     return hits, counts, Counter(map(itemgetter(1), skips))
 
 
 def _tally_json(block):
-    """Render hook for JSONL: ``_tally``, plus the block's skips as JSON list items.
+    """Render hook for JSONL: ``_tally``, with the block's skips as JSON list items.
 
-    Each item has json.dumps's bytes: a skip reason is a plain ASCII word,
-    which JSON writes as it is.
+    Each item has json.dumps's bytes, a skip reason being a plain ASCII
+    word, which JSON writes as it is, and each comes after a ", ".
     """
-    _, skips, _ = block
-    text = ", ".join([
-        f'{{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
+    hits, skips, counts = block
+    text = "".join([
+        f', {{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
         for n, reason, factor in skips
     ])
-    return _tally(block) + (text,)
+    return hits, counts, text
 
 
-def _stream_blocks(spec, workers, spool):
-    """Consume ``iter_blocks``; returns (hits, status counts, skips per reason).
+def _stream_blocks(spec, workers, render, take=None):
+    """Consume ``iter_blocks`` with a ``_tally`` hook; returns (hits, status counts).
 
-    No skip is kept: each block is rendered in the process that scanned it,
-    and with a spool its skips are written to it as the JSON list items of
-    the record, separated by ", ".
+    No skip is kept: each block is rendered in the process that scanned it
+    into its hits, its status counts and what the output keeps of its
+    skips, which goes to ``take``.
     """
     hits = []
     counts = [0] * len(Status)
-    reasons = Counter()
-    sep = ""
-    render = _tally if spool is None else _tally_json
-    for part_hits, part_counts, part_reasons, *text in iter_blocks(spec, workers, render):
+    for part_hits, part_counts, part_skips in iter_blocks(spec, workers, render):
         hits.extend(part_hits)
         counts = [a + b for a, b in zip(counts, part_counts)]
-        reasons.update(part_reasons)
-        if spool is not None and text[0]:
-            spool.write(sep)
-            spool.write(text[0])
-            sep = ", "
-    counts = {status.value: count for status, count in zip(Status, counts)}
-    return hits, counts, reasons
+        if take is not None:
+            take(part_skips)
+    return hits, {status.value: count for status, count in zip(Status, counts)}
 
 
 def cmd_bridge(parser, args):

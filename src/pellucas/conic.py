@@ -104,7 +104,10 @@ class PellParams(namedtuple("PellParams", "d x y a")):
     """Test parameters: d plus either an explicit point or a seed for phi.
 
     An explicit (x, y) is interpreted mod each tested n; a seed a is fed
-    to phi per n, which may fail for some moduli.
+    to phi per n, which may fail for some moduli.  A point leaves ``a``
+    None, a seed ``x`` and ``y``.  The field order is the kernels'
+    parameter order: ``kernels.scan`` and ``_kernels_py.decide`` take the
+    record as it is.
     """
 
     __slots__ = ()
@@ -131,20 +134,9 @@ class PellParams(namedtuple("PellParams", "d x y a")):
     def from_seed(cls, d, a):
         return cls(d, a=a)
 
-    @property
-    def has_seed(self):
-        return self.a is not None
-
-    @property
-    def kernel_args(self):
-        """The kind and parameter tuple of ``kernels.scan``."""
-        if self.has_seed:
-            return "seed", (self.d, self.a)
-        return "point", (self.d, self.x, self.y)
-
     def resolve(self, n):
         """Concrete ConicPoint mod n; may raise NotOnConicError/PhiUndefinedError."""
-        if self.has_seed:
+        if self.a is not None:
             return phi(self.a, self.d, n)
         return ConicPoint(self.x, self.y, self.d, n)
 
@@ -156,12 +148,12 @@ def pell_test(n, params):
     Jacobi symbol, phi undefined) become NotApplicable verdicts rather
     than exceptions so range searches can record and move on.
     """
-    return verdict(n, params, strong=False)
+    return verdict(n, "pell", params, strong=False)
 
 
 def strong_pell_test(n, params):
     """Stronger variant: the full power must equal the identity (1, 0)."""
-    return verdict(n, params, strong=True)
+    return verdict(n, "pell", params, strong=True)
 
 
 # The largest p that ``conic_order`` counts exhaustively.

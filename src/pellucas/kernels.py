@@ -81,15 +81,17 @@ def is_prime(n):
 def scan(kind, strong, params, lo, hi):
     """Run one test on every odd n in [lo, hi]; returns (hits, skips, counts).
 
-    ``kind`` is "lucas" with params (P, Q), "seed" with (d, a) or "point"
-    with (d, x, y), as the params' ``kernel_args``; the decisions are
-    ``_kernels_py.decide``'s, and each skip is a ``Skip`` row.  The
-    compiled scan runs when hi and every parameter fit its 64-bit
-    arithmetic, the pure one otherwise.
+    ``kind`` is "lucas" with a ``LucasParams`` or "pell" with a
+    ``PellParams``, whose field order is the kernels' parameter order; the
+    decisions are ``_kernels_py.decide``'s, and each skip is a ``Skip``
+    row.  The compiled scan runs when hi and every parameter (not the Nones
+    a ``PellParams`` leaves) fit its 64-bit arithmetic, the pure one
+    otherwise.
     """
     if lo < 3:
         raise ValueError(f"range must start at 3 or above, got {lo}")
-    if _c is not None and hi < _C_LIMIT and all(-_C_LIMIT <= v < _C_LIMIT for v in params):
+    fits = all(v is None or -_C_LIMIT <= v < _C_LIMIT for v in params)
+    if _c is not None and hi < _C_LIMIT and fits:
         return _c.scan(kind, strong, params, lo, hi)
     return _py.scan(kind, strong, params, lo, hi)
 

@@ -37,11 +37,6 @@ class LucasParams(namedtuple("LucasParams", "p q")):
     def d(self):
         return self.p * self.p - 4 * self.q
 
-    @property
-    def kernel_args(self):
-        """The kind and parameter tuple of ``kernels.scan``."""
-        return "lucas", (self.p, self.q)
-
 
 # (U_k, V_k) reduced mod n.
 LucasPair = namedtuple("LucasPair", "u v")
@@ -60,7 +55,7 @@ def lucas_test(n, params):
     when the congruence holds.  A zero Jacobi symbol or gcd(n, Q) > 1
     yields NotApplicable with the gcd as witness.
     """
-    return verdict(n, params, strong=False)
+    return verdict(n, "lucas", params, strong=False)
 
 
 def strong_lucas_test(n, params):
@@ -69,4 +64,4 @@ def strong_lucas_test(n, params):
     Equivalent to the full identity point on the conic side.  Both U
     values are always reported.
     """
-    return verdict(n, params, strong=True)
+    return verdict(n, "lucas", params, strong=True)

@@ -79,9 +79,8 @@ class SearchReport(namedtuple("SearchReport", "spec pseudoprimes skipped counts"
 
 def _scan_blocks(spec, lo, hi, render):
     """Test every odd n in [lo, hi]; yields each block's scan tuples, or their ``render``."""
-    kind, params = spec.params.kernel_args
     for b in range(lo, hi + 1, BLOCK_SPAN):
-        block = kernels.scan(kind, spec.strong, params, b, min(b + BLOCK_SPAN - 1, hi))
+        block = kernels.scan(spec.kind, spec.strong, spec.params, b, min(b + BLOCK_SPAN - 1, hi))
         yield block if render is None else render(block)
 
 

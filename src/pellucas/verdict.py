@@ -57,8 +57,8 @@ class TestVerdict(namedtuple("TestVerdict", "status reason witnesses")):
         }
 
 
-def verdict(n, params, strong):
-    """The per-n Lucas or Pell test of ``params``: one ``decide`` row.
+def verdict(n, kind, params, strong):
+    """The per-n ``kind`` test, "lucas" or "pell", of ``params``: one ``decide`` row.
 
     Runs ``decide`` on the one backend that ``kernels.backend_for`` picks
     for n, whose kernels take the residues and the exponents n +- 1 that
@@ -69,14 +69,13 @@ def verdict(n, params, strong):
     m = as_modulus(n)
     if m >= MR_DETERMINISTIC_BOUND:
         raise ValueError(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
-    kind, args = params.kernel_args
-    skips, tested = decide(kind, strong, args, (m,), kernels.backend_for(m))
+    skips, tested = decide(kind, strong, params, (m,), kernels.backend_for(m))
     if skips:
         _, reason, factor = skips[0]
         witnesses = {} if factor is None else {"gcd": factor}
         return _tuple_new(TestVerdict, (_NOT_APPLICABLE, reason, witnesses))
     _, outcome, u, v, w, k = tested[0]
-    if kind != "lucas":
+    if kind == "pell":
         witnesses = {"x": kernels.half(v, m), "y": w * u % m, "k": k}
     elif strong:
         witnesses = {"u": u, "u_next": kernels.half((w * u + v) % m, m), "k": k}

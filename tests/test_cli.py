@@ -307,13 +307,30 @@ def test_output_bytes_pinned(capsys, argv, exit_code, digest, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv"])
-def test_table_and_csv_bytes_independent_of_workers(capsys, fmt):
-    # four runs of blocks, so --workers 2 starts a real pool
-    argv = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000", "--format", fmt]
-    one = run(capsys, *argv, "--workers", "1")
-    assert one[0] == 0
-    assert run(capsys, *argv, "--workers", "2") == one
+SPARSE = ["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--to", "100000"]
+SEED = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"]
+# sha256 of the table and CSV stdout of enumerate, equal for every worker
+# count and on both kernel backends: the table's counts and its skips per
+# reason, which no JSONL digest covers.  Four runs of blocks each, so
+# --workers 2 starts a real pool.
+TABLE_CSV_DIGESTS = [
+    pytest.param(SPARSE, "table", "c721bca8cfe3a92c406ae9b5383a6c87feaedf28085105f5d5f6b18446b5611c",
+                 id="point-table"),
+    pytest.param(SPARSE, "csv", "b280c0e6e6ad85b5eae2bb1764dee73a3af02c3ca3f4b5c6adafe7478851520d",
+                 id="point-csv"),
+    pytest.param(SEED, "table", "58548e343fc4d4f5484c91cd2c571d3a7932bbbd851e4f2812077033f7a8b057",
+                 id="seed-table"),
+    pytest.param(SEED, "csv", "c71a04e6cbe97ac97b561353e8e58c58a126d0fcfa3e3cb7da40d2f658d3aaba",
+                 id="seed-csv"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv,fmt,digest", TABLE_CSV_DIGESTS)
+def test_table_and_csv_bytes_pinned(capsys, argv, fmt, digest, workers):
+    code, out = run(capsys, *argv, "--format", fmt, "--workers", workers)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_closed_output_pipe_exits_141():

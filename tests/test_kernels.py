@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pellucas import kernels
+from pellucas import LucasParams, PellParams, kernels
 from pellucas.verdict import Status
 
 BACKENDS = kernels.backends()
@@ -255,9 +255,9 @@ def test_prime_comes_before_the_congruence():
     # strong Lucas (1, -1) at n = 7: U_8 = 0 but V_8 = 5, not 2; 7 is prime
     pure = BACKENDS["pure"]
     row = (7, pure.PRIME, 0, 5, 1, 8)
-    assert pure.decide("lucas", True, (1, -1), [7], pure) == ([], [row])
+    assert pure.decide("lucas", True, LucasParams(1, -1), [7], pure) == ([], [row])
     for backend in BACKENDS.values():
-        assert backend.scan("lucas", True, (1, -1), 7, 7) == ([], [], (1, 0, 0, 0))
+        assert backend.scan("lucas", True, LucasParams(1, -1), 7, 7) == ([], [], (1, 0, 0, 0))
 
 
 def test_primality_is_asked_only_where_u_vanishes():
@@ -272,7 +272,8 @@ def test_primality_is_asked_only_where_u_vanishes():
         return pure.is_prime(n)
 
     counting = SimpleNamespace(jacobi=pure.jacobi, lucas_uv=pure.lucas_uv, is_prime=is_prime)
-    for kind, params in (("lucas", (3, 1)), ("lucas", (1, -1)), ("seed", (6, 4))):
+    for kind, params in (("lucas", LucasParams(3, 1)), ("lucas", LucasParams(1, -1)),
+                         ("pell", PellParams.from_seed(6, 4))):
         for strong in (False, True):
             for ns in (range(3, 4001, 2), range(10**12 + 1, 10**12 + 401, 2)):
                 asked.clear()
@@ -286,7 +287,8 @@ def test_primality_is_asked_only_where_u_vanishes():
 
 
 # One search per gate, so that the rows carry all four skip reasons.
-SKIPPING = (("lucas", (3, 1)), ("lucas", (3, 5)), ("seed", (6, 4)), ("point", (3, 8, 66)))
+SKIPPING = (("lucas", LucasParams(3, 1)), ("lucas", LucasParams(3, 5)),
+            ("pell", PellParams.from_seed(6, 4)), ("pell", PellParams.from_point(3, 8, 66)))
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))
@@ -310,7 +312,8 @@ def test_compiled_scan_rows_do_not_leak():
     # every row of every call alive.  The Lucas Q gives gcd factors above
     # 256, which are not cached ints, so that a lost factor shows too.
     fast = BACKENDS["compiled"]
-    cases = (("point", (3, 8, 66)), ("seed", (6, 4)), ("lucas", (3, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)))
+    cases = (("pell", PellParams.from_point(3, 8, 66)), ("pell", PellParams.from_seed(6, 4)),
+             ("lucas", LucasParams(3, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)))
 
     def run():
         for kind, params in cases:

@@ -339,15 +339,10 @@ PER_N = {
 
 def per_n_scan(kind, strong, params, lo, hi):
     """The scan's (hits, skips, counts), built from the per-n tests."""
-    if kind == "lucas":
-        test, obj = PER_N["lucas", strong], LucasParams(*params)
-    elif kind == "seed":
-        test, obj = PER_N["pell", strong], PellParams.from_seed(*params)
-    else:
-        test, obj = PER_N["pell", strong], PellParams.from_point(*params)
+    test = PER_N[kind, strong]
     hits, skips, counts = [], [], dict.fromkeys(Status, 0)
     for n in range(lo | 1, hi + 1, 2):
-        verdict = test(n, obj)
+        verdict = test(n, params)
         counts[verdict.status] += 1
         if verdict.status is Status.PSEUDOPRIME:
             hits.append(n)
@@ -387,13 +382,13 @@ def windows(draw):
 def lucas_params(draw):
     p = draw(st.integers(1, 2**63 - 1) | st.integers(1, 30))
     q = draw(I64 | SMALL)
-    return (p, q) if p * p != 4 * q else (p, q + 1)
+    return LucasParams(p, q) if p * p != 4 * q else LucasParams(p, q + 1)
 
 
 @st.composite
 def seed_params(draw):
     d = draw(I64 | SMALL)
-    return (d or 1, draw(I64 | SMALL))
+    return PellParams.from_seed(d or 1, draw(I64 | SMALL))
 
 
 @st.composite
@@ -402,13 +397,14 @@ def point_params(draw):
     sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
     on_conic = (d, sx * x, sy * y)
     off_conic = (draw(I64 | SMALL) or 1, draw(I64 | SMALL), draw(I64 | SMALL))
-    return draw(st.sampled_from([on_conic, off_conic, (3, 8, 66), (-3, -8, -66)]))
+    point = draw(st.sampled_from([on_conic, off_conic, (3, 8, 66), (-3, -8, -66)]))
+    return PellParams.from_point(*point)
 
 
 SCAN_CASES = st.one_of(
     st.tuples(st.just("lucas"), lucas_params()),
-    st.tuples(st.just("seed"), seed_params()),
-    st.tuples(st.just("point"), point_params()),
+    st.tuples(st.just("pell"), seed_params()),
+    st.tuples(st.just("pell"), point_params()),
 )
 
 
@@ -426,11 +422,12 @@ def test_scan_matches_per_n_tests(name, case, strong, window):
 def test_scan_matches_per_n_tests_on_fixtures(name):
     for fixture in load_fixtures():
         if fixture.kind == "lucas":
-            kind, params = "lucas", (fixture.get("P"), fixture.get("Q"))
+            kind, params = "lucas", LucasParams(fixture.get("P"), fixture.get("Q"))
         elif fixture.kind == "pell":
-            kind, params = "seed", (fixture.get("D"), fixture.get("a"))
+            kind, params = "pell", PellParams.from_seed(fixture.get("D"), fixture.get("a"))
         elif fixture.kind == "pell-membership":
-            kind, params = "point", (fixture.get("D"), fixture.get("x"), fixture.get("y"))
+            kind = "pell"
+            params = PellParams.from_point(fixture.get("D"), fixture.get("x"), fixture.get("y"))
         else:
             continue
         lo, hi = fixture.get("lo"), fixture.get("hi")
@@ -444,7 +441,8 @@ def test_scan_finds_pseudoprimes_above_2_32(name):
     # the hypothesis windows almost never hold a pseudoprime this large
     lucas_n, pell_n = 1000010665601, 1000000200577
     assert lucas_n == 774601 * 1291001 and pell_n == 7 * 1249 * 6967 * 16417
-    for kind, params, n in (("lucas", (3, 1), lucas_n), ("seed", (6, 4), pell_n)):
+    for kind, params, n in (("lucas", LucasParams(3, 1), lucas_n),
+                            ("pell", PellParams.from_seed(6, 4), pell_n)):
         for strong in (False, True):
             expected = per_n_scan(kind, strong, params, n - 80, n + 80)
             assert n in expected[0]
@@ -453,8 +451,9 @@ def test_scan_finds_pseudoprimes_above_2_32(name):
 
 # The compiled scan ladders its tested n in groups of four.  Lucas (4, 3)
 # has D = 4, a square; (5, -1) has D = 29.
-LANE_CASES = [("lucas", (3, 1)), ("lucas", (5, -1)), ("lucas", (4, 3)), ("seed", (6, 4)),
-              ("point", (3, 7, 4))]
+LANE_CASES = [("lucas", LucasParams(3, 1)), ("lucas", LucasParams(5, -1)),
+              ("lucas", LucasParams(4, 3)), ("pell", PellParams.from_seed(6, 4)),
+              ("pell", PellParams.from_point(3, 7, 4))]
 
 
 @pytest.mark.parametrize("j", [20, 32, 40, 62])
@@ -464,7 +463,8 @@ def test_scan_groups_across_a_power_of_two(j):
     # from n0 puts a lane with Q = 1 first in a group that tracks Q^j for
     # the lanes after it; 100 such n0 put primes in those lanes.
     cases = [(kind, params, 2**j - 300, 2**j + 300) for kind, params in LANE_CASES]
-    cases += [("lucas", (4, n0 + 1), n0, n0 + 12) for n0 in range(2**j + 1, 2**j + 201, 2)]
+    cases += [("lucas", LucasParams(4, n0 + 1), n0, n0 + 12)
+              for n0 in range(2**j + 1, 2**j + 201, 2)]
     for kind, params, lo, hi in cases:
         for strong in (False, True):
             expected = per_n_scan(kind, strong, params, lo, hi)
@@ -490,13 +490,13 @@ def test_scan_dispatch_either_side_of_the_compiled_limit():
     # compiled scan when it is built; one past it, the pure scan
     limit = kernels._C_LIMIT
     cases = [
-        ("lucas", (3, -limit), limit - 61, limit - 1),
-        ("lucas", (3, -limit - 1), limit - 61, limit - 1),
-        ("lucas", (3, 1), limit - 61, limit + 61),
-        ("seed", (limit - 1, -limit), limit - 61, limit - 1),
-        ("seed", (limit, 4), 10**12, 10**12 + 60),
-        ("point", (3, -limit, 66), 3, 200),
-        ("point", (3, 8, -limit - 1), 3, 200),
+        ("lucas", LucasParams(3, -limit), limit - 61, limit - 1),
+        ("lucas", LucasParams(3, -limit - 1), limit - 61, limit - 1),
+        ("lucas", LucasParams(3, 1), limit - 61, limit + 61),
+        ("pell", PellParams.from_seed(limit - 1, -limit), limit - 61, limit - 1),
+        ("pell", PellParams.from_seed(limit, 4), 10**12, 10**12 + 60),
+        ("pell", PellParams.from_point(3, -limit, 66), 3, 200),
+        ("pell", PellParams.from_point(3, 8, -limit - 1), 3, 200),
     ]
     for kind, params, lo, hi in cases:
         for strong in (False, True):
@@ -504,4 +504,71 @@ def test_scan_dispatch_either_side_of_the_compiled_limit():
             hits, skips, counts = kernels.scan(kind, strong, params, lo, hi)
             assert (list(hits), list(skips), tuple(counts)) == expected
     with pytest.raises(ValueError):
-        kernels.scan("lucas", False, (3, 1), 1, 100)
+        kernels.scan("lucas", False, LucasParams(3, 1), 1, 100)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "seed", "point", "Pell", "pell ", b"pell", None, 1])
+def test_scans_reject_other_kinds(kind):
+    # "lucas" and "pell" are the only kinds, on both scans, below 2**63
+    # (compiled when built) and above it (always pure)
+    params = PellParams.from_point(3, 8, 66)
+    for backend in BACKENDS.values():
+        with pytest.raises(ValueError, match="kind must be"):
+            backend.scan(kind, False, params, 3, 50)
+    for lo in (3, 2**63 + 1):
+        with pytest.raises(ValueError, match="kind must be"):
+            kernels.scan(kind, False, params, lo, lo + 40)
+    with pytest.raises(ValueError, match="kind must be"):
+        _kernels_py.decide(kind, False, params, [85], _kernels_py)
+
+
+def test_per_n_tests_reject_the_other_kinds_record():
+    # the test names the kind, and a record of the other kind does not
+    # unpack as its parameters, so no test answers for the wrong ones
+    for test in (lucas_test, strong_lucas_test):
+        for params in (PellParams.from_point(3, 8, 66), PellParams.from_seed(3, 4)):
+            with pytest.raises(ValueError):
+                test(85, params)
+    for test in (pell_test, strong_pell_test):
+        with pytest.raises(ValueError):
+            test(85, LucasParams(3, 1))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("lucas", (None, 1)),
+    ("lucas", (3, None)),
+    ("pell", (None, 8, 66, None)),
+    ("pell", (3, None, 66, None)),
+    ("pell", (3, 8, None, None)),
+    ("pell", (3, None, None, None)),
+    ("pell", (None, None, None, 4)),
+])
+def test_scans_reject_none_in_a_used_field(kind, params):
+    # a point leaves a None and a seed x and y; a None in a field that the
+    # form reads is a TypeError on both scans, as a non-int is
+    for backend in BACKENDS.values():
+        with pytest.raises(TypeError):
+            backend.scan(kind, False, params, 3, 50)
+    with pytest.raises(TypeError):
+        kernels.scan(kind, False, params, 3, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=I64 | SMALL, d=I64 | SMALL)
+def test_phi_image_is_on_the_conic(a, d):
+    # phi(a) = ((a^2 + d)/t, 2a/t) with t = a^2 - d, so x^2 - d y^2 =
+    # ((a^2 + d)^2 - d (2a)^2)/t^2 = 1 mod every n where t is invertible:
+    # the scans make no conic check for a seed
+    assert (a * a + d) ** 2 - d * (2 * a) ** 2 == (a * a - d) ** 2
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_seed_scans_never_find_the_point_off_the_conic(name):
+    limit = kernels._C_LIMIT
+    seeds = [(6, 4), (3, 4), (-7, 2), (limit - 1, -limit), (-limit, limit - 1), (5, 0)]
+    windows = [(3, 2001), (2**32 - 121, 2**32 + 121), (10**12, 10**12 + 241),
+               (limit - 241, limit - 1)]
+    for d, a in seeds:
+        for lo, hi in windows:
+            _, skips, _ = BACKENDS[name].scan("pell", False, PellParams.from_seed(d, a), lo, hi)
+            assert _kernels_py.REASON_NOT_ON_CONIC not in {skip.reason for skip in skips}
