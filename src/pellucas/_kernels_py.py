@@ -146,8 +146,9 @@ def decide(kind, strong, params, ns, backend):
     ``verdict.verdict`` turns one into a verdict, and the C ``scan``
     mirrors them.  ``backend`` is a module with ``jacobi``, ``lucas_uv``
     and ``is_prime``.  ``kind`` is "lucas" with a ``LucasParams`` (P, Q)
-    or "pell" with a ``PellParams`` (d, x, y, a), any other raises
-    ``ValueError``; the parameters are any integers, reduced mod each n.
+    or "pell" with a ``PellParams`` (d, x, y, a); any other kind raises
+    ``ValueError``, and a record of another length ``TypeError``, as in
+    the C scan.  The parameters are any integers, reduced mod each n.
     Gates, in order: for Lucas, (D/n) = 0, then gcd(Q, n) > 1; for Pell,
     phi undefined for a seed (its image is always on the conic) or a point
     off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
@@ -165,12 +166,15 @@ def decide(kind, strong, params, ns, backend):
     as (n, outcome, U_k, V_k, w, k), with w = P for Lucas and y for Pell.
     """
     lucas = kind == "lucas"
-    if lucas:
-        P, Q = params  # unpacked once: the other kind's record does not fit
-    elif kind == "pell":
-        d, x0, y0, a0 = params
-    else:
+    if not lucas and kind != "pell":
         raise ValueError(f"kind must be 'lucas' or 'pell', got {kind!r}")
+    want = 2 if lucas else 4
+    if len(params) != want:  # the other kind's record, say
+        raise TypeError(f"a {kind} test needs {want} parameters, got {len(params)}")
+    if lucas:
+        P, Q = params
+    else:
+        d, x0, y0, a0 = params
     skips = []
     tested = []
     for n in ns:

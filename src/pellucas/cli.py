@@ -5,8 +5,9 @@ formats: a human table (default), line-delimited JSON records
 (``--format jsonl``, one record per line, schema version 1) and CSV.
 
 Exit codes: 0 = command executed (whatever the mathematical verdict),
-2 = usage/validation error, 3 = fixture mismatch in ``reproduce``, 141 =
-the output pipe was closed (as for a tool killed by SIGPIPE).  The
+2 = usage/validation error, 3 = fixture mismatch in ``reproduce``, 130 =
+interrupted by Ctrl-C (SIGINT), 141 = the output pipe was closed (each as
+for a tool killed by that signal, with no traceback).  The
 library rejects a bad input with ``ValueError``; ``main`` turns every one
 into a usage error with the library's message.
 """
@@ -363,6 +364,9 @@ def console_main():
         # the flush at exit cannot raise again, and exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 128 + 13
+    except KeyboardInterrupt:
+        # Ctrl-C: a search has reaped its workers by now; exit as SIGINT would
+        code = 128 + 2
     sys.exit(code)
 
 

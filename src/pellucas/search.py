@@ -12,7 +12,11 @@ the test on every odd n of the block and returns its hits, its skips as
 place, and its counts.  ``iter_blocks`` yields those block by block, in
 block order, so a caller that streams them (the CLI does) holds one block
 at a time, and can have each block rendered where it was scanned (in a
-pool worker, say); ``enumerate_range`` collects them as they are.  The
+worker, say); ``enumerate_range`` collects them as they are.  With more
+than one worker, the blocks are dealt round-robin to forked worker
+processes, each of which streams its blocks back through its own pipe,
+one pickle per block; a full pipe blocks its writer, so no more than a
+pipe's worth of each worker's output is ever in flight.  The
 scan is compiled when the extension is built and the block's end and the
 test parameters fit in signed 64-bit integers; otherwise it runs on the
 pure-Python kernels.  The pure scan and the per-n tests share one
@@ -20,9 +24,8 @@ decision function, ``_kernels_py.decide``; the C scan mirrors it.
 """
 
 import os
-import zlib
-from collections import deque, namedtuple
-from itertools import repeat
+from collections import namedtuple
+from itertools import cycle, islice, repeat
 
 from . import kernels
 from ._kernels_py import Skip
@@ -34,12 +37,10 @@ from .verdict import Status
 # Integers per work block; fixed so that block boundaries (and therefore
 # merged output) never depend on scheduling.
 BLOCK_SPAN = 2048
-# Blocks per pool task: one block per task spends more on the round trips
-# than the scan of a sparse search takes.
+# A search forks at most one worker per run of this many blocks: a fork
+# costs more than the scan of a few blocks of a sparse search.
 RUN_BLOCKS = 16
 RUN_SPAN = RUN_BLOCKS * BLOCK_SPAN
-# Runs in flight or waiting to be consumed, per worker.
-LOOKAHEAD = 2
 
 
 class SearchSpec(namedtuple("SearchSpec", "kind params lo hi strong")):
@@ -77,43 +78,78 @@ class SearchReport(namedtuple("SearchReport", "spec pseudoprimes skipped counts"
         return tuple(s.n for s in self.skipped if reason is None or s.reason == reason)
 
 
-def _scan_blocks(spec, lo, hi, render):
-    """Test every odd n in [lo, hi]; yields each block's scan tuples, or their ``render``."""
-    for b in range(lo, hi + 1, BLOCK_SPAN):
-        block = kernels.scan(spec.kind, spec.strong, spec.params, b, min(b + BLOCK_SPAN - 1, hi))
+def _scan_blocks(spec, starts, render):
+    """Scan the blocks that begin at ``starts``; yields each one's scan tuple, or its ``render``."""
+    for b in starts:
+        block = kernels.scan(spec.kind, spec.strong, spec.params, b, min(b + BLOCK_SPAN - 1, spec.hi))
         yield block if render is None else render(block)
 
 
-def _scan_run(spec, lo, hi, render):
-    """One pool task: the blocks of a run, each pickled and compressed.
+def _plain(block):
+    """An unrendered block with its skips as plain tuples, for a worker to send.
 
-    Rendered as JSON text, a block of a sparse search is about 64 kB of
-    repetitive text and a run about 1 MB; compressed, a run is about 50 kB.
-    Taking in a megabyte per run, the main process's peak RSS would wander
-    by about 10% between searches and creep up with the range.
-
-    Unrendered skips go as plain tuples: a ``Skip`` pickles and unpickles
-    through Python-level methods, which took about 5x as long.
+    A ``Skip`` pickles and unpickles through Python-level methods, which
+    took about 5x as long as a tuple.
     """
-    import pickle  # not at the top: see ``_unpack``
-
-    blocks = _scan_blocks(spec, lo, hi, render)
-    if render is None:
-        blocks = ((hits, list(map(tuple, skips)), counts) for hits, skips, counts in blocks)
-    return [zlib.compress(pickle.dumps(block), 1) for block in blocks]
+    hits, skips, counts = block
+    return hits, list(map(tuple, skips)), counts
 
 
-def _unpack(future, render):
-    """Yield the blocks of a finished ``_scan_run``, one at a time."""
-    # imported here, not at the top: it adds about 3 ms to importing pellucas
-    import pickle
+def _send(out, obj):
+    """Write ``obj`` to a worker's pipe as one length-prefixed pickle."""
+    import pickle  # imported by ``iter_blocks`` before the fork
 
-    for packed in future.result():
-        block = pickle.loads(zlib.decompress(packed))
-        if render is None:
-            hits, rows, counts = block
-            block = hits, list(map(tuple.__new__, repeat(Skip), rows)), counts
-        yield block
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+    out.flush()
+
+
+def _fork_worker(spec, starts, render, write_end, readers):
+    """Fork a worker that sends the blocks at ``starts`` into ``write_end``; returns its pid.
+
+    The worker sends each block, rendered (or ``_plain``), as one message,
+    and an exception that it meets in place of the next block.  It ignores
+    SIGINT: Ctrl-C is the parent's to handle, and once the parent has
+    closed the read ends, the worker's next write fails and ends it.  It
+    never returns into the caller's code but ends in ``os._exit``, so no
+    ``finally`` block, ``atexit`` handler or inherited output buffer of the
+    parent runs twice.
+    """
+    import signal
+
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+        if pid:
+            return pid
+        out = open(write_end, "wb")
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for reader in readers:  # only the parent holds a read end
+                reader.close()
+            for block in _scan_blocks(spec, starts, render or _plain):
+                _send(out, block)
+        except BaseException as err:  # the parent re-raises it
+            _send(out, err)
+    finally:
+        if os.getpid() != parent:
+            os._exit(0)  # the parent reads the outcome from the pipe
+
+
+def _receive(reader):
+    """The next message of a worker's pipe; raises the worker's exception."""
+    import pickle  # imported by ``iter_blocks`` before the fork
+
+    head = reader.read(8)
+    size = int.from_bytes(head, "little")
+    data = reader.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise RuntimeError("a search worker ended before it sent all its blocks")
+    message = pickle.loads(data)
+    if isinstance(message, BaseException):
+        raise message
+    return message
 
 
 def check_workers(workers):
@@ -125,38 +161,58 @@ def check_workers(workers):
 def iter_blocks(spec, workers=1, render=None):
     """Yield each block's ``(hits, skips, counts)`` from ``kernels.scan``, in block order.
 
-    With more than one worker, runs of ``RUN_BLOCKS`` blocks go to a
-    process pool, and at most ``LOOKAHEAD`` runs per worker are in flight
-    or waiting to be consumed, so memory does not grow with the range.  The
-    pool never has more processes than runs or cores: a search of one run
-    stays in-process.  ``workers=None`` means one per core; fewer than one
-    raises ``ValueError``.
+    With more than one worker, each worker is a forked process: worker w
+    of W scans blocks w, w + W, w + 2W, ... and writes each into its own
+    pipe, from which the main process reads block i from worker i mod W.
+    A full pipe blocks its writer, so the pipe's capacity bounds what is
+    in flight and memory does not grow with the range.  There are never
+    more workers than runs of ``RUN_BLOCKS`` blocks or than cores, and a
+    search of one run, or where ``os.fork`` does not exist, stays
+    in-process.  ``workers=None`` means one per core; fewer than one
+    raises ``ValueError``.  Since it forks, a caller that runs threads
+    should pass ``workers=1``.
 
-    ``render``, a module-level function (a pool task pickles it by name),
-    is applied to each block's tuple in the process that scanned the block,
-    and its result is yielded instead; a pool worker then sends back only
-    what the caller keeps.
+    ``render`` is applied to each block's tuple in the process that
+    scanned the block, and its result is yielded instead; a worker then
+    sends only what the caller keeps.  Whatever way the generator ends
+    (exhausted, closed, or by an exception, ``KeyboardInterrupt`` included),
+    it reaps every worker first; a worker's exception is raised here, and
+    a worker that ends early raises ``RuntimeError``.
     """
     check_workers(workers)
     cores = os.cpu_count() or 1
     runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
-    # under fork the pool starts all its processes at the first submit
+    # every worker runs from the first block to the end of the range
     workers = min(workers or cores, len(runs), cores)
-    if workers <= 1:
-        yield from _scan_blocks(spec, spec.lo, spec.hi, render)
+    starts = range(spec.lo, spec.hi + 1, BLOCK_SPAN)
+    if workers <= 1 or not hasattr(os, "fork"):
+        yield from _scan_blocks(spec, starts, render)
         return
-    # imported here, not at the top: it adds about 20 ms to importing pellucas
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here, not at the top: it adds about 3 ms to importing pellucas;
+    # before the forks, so that no worker imports it again
+    import pickle  # noqa: F401
 
-    pending = deque()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for lo in runs:
-            hi = min(lo + RUN_SPAN - 1, spec.hi)
-            pending.append(pool.submit(_scan_run, spec, lo, hi, render))
-            if len(pending) == LOOKAHEAD * workers:
-                yield from _unpack(pending.popleft(), render)
-        while pending:
-            yield from _unpack(pending.popleft(), render)
+    readers, pids = [], []
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            try:
+                pids.append(_fork_worker(spec, starts[w::workers], render, write_end, readers))
+            finally:
+                os.close(write_end)
+        for reader in islice(cycle(readers), len(starts)):
+            block = _receive(reader)
+            if render is None:
+                hits, rows, counts = block
+                block = hits, list(map(tuple.__new__, repeat(Skip), rows)), counts
+            yield block
+    finally:
+        # read ends first: a worker blocked on a full pipe then gets EPIPE
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def enumerate_range(spec, workers=1):

@@ -63,13 +63,17 @@ def verdict(n, kind, params, strong):
     Runs ``decide`` on the one backend that ``kernels.backend_for`` picks
     for n, whose kernels take the residues and the exponents n +- 1 that
     ``decide`` passes.  n at or above the deterministic primality bound is
-    rejected before any gate.  Witnesses: U_k and k, plus U_{k+1} for
-    strong Lucas; (x, y)^k and k for Pell.
+    rejected before any gate, and so, with ``ValueError``, is a record that
+    ``decide`` cannot read (the other kind's, say).  Witnesses: U_k and k,
+    plus U_{k+1} for strong Lucas; (x, y)^k and k for Pell.
     """
     m = as_modulus(n)
     if m >= MR_DETERMINISTIC_BOUND:
         raise ValueError(f"n exceeds the deterministic primality bound {MR_DETERMINISTIC_BOUND}")
-    skips, tested = decide(kind, strong, params, (m,), kernels.backend_for(m))
+    try:
+        skips, tested = decide(kind, strong, params, (m,), kernels.backend_for(m))
+    except TypeError as err:  # a record the test cannot read is a bad value here
+        raise ValueError(str(err)) from err
     if skips:
         _, reason, factor = skips[0]
         witnesses = {} if factor is None else {"gcd": factor}

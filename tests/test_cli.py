@@ -293,7 +293,7 @@ OUTPUT_DIGESTS = [
      0, "0697e5d35a44e9487f838ee2e438758eb3d721241a18f2881ef8dee91029c2c1"),
     (["reproduce"],
      3, "c04a1ea74fe38ee8c3d13baf0660da3ed162c19be49945a4cc617a149f8d3512"),
-    # four runs of blocks, so --workers 2 starts a real pool
+    # four runs of blocks, so --workers 2 forks two workers
     (["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"],
      0, "cf96f8a083aa0b6c30de994119d2ed979de613f929d1a1a1341cafb07e6950ae"),
 ]
@@ -312,7 +312,7 @@ SEED = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"]
 # sha256 of the table and CSV stdout of enumerate, equal for every worker
 # count and on both kernel backends: the table's counts and its skips per
 # reason, which no JSONL digest covers.  Four runs of blocks each, so
-# --workers 2 starts a real pool.
+# --workers 2 forks two workers.
 TABLE_CSV_DIGESTS = [
     pytest.param(SPARSE, "table", "c721bca8cfe3a92c406ae9b5383a6c87feaedf28085105f5d5f6b18446b5611c",
                  id="point-table"),
@@ -348,6 +348,17 @@ def test_closed_output_pipe_exits_141():
     assert b"Traceback" not in err
 
 
+def test_ctrl_c_exits_130(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    with pytest.raises(SystemExit) as exit:
+        cli.console_main()
+    assert exit.value.code == 130
+    assert capsys.readouterr() == ("", "")
+
+
 class Sink(io.TextIOBase):
     """A text stdout that discards what it is given."""
 
@@ -374,8 +385,8 @@ def test_enumerate_memory_does_not_grow_with_the_range():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # the pool is imported only by a search that uses it, and no record is
-    # a dataclass
+    # a search forks its workers itself, with no process pool, and no
+    # record is a dataclass
     src = os.path.dirname(os.path.dirname(pellucas.__file__))
     code = ("import sys, pellucas.cli; "
             "print([m in sys.modules for m in ('concurrent.futures.process', 'dataclasses')])")

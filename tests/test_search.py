@@ -1,9 +1,9 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
-import concurrent.futures
 import hashlib
 import os
 import pickle
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -113,7 +113,7 @@ def test_equivalence_sweep_via_parametrization():
 def test_parallel_determinism():
     specs = [
         SearchSpec("pell", PellParams.from_seed(23, 32), 3, 3000),
-        # four runs of blocks, so a real pool of up to four processes
+        # four runs of blocks, so up to four forked workers
         SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 100_000),
     ]
     for spec in specs:
@@ -126,7 +126,7 @@ def test_parallel_determinism():
 # sha256 of repr(enumerate_range(spec, workers)); equal for every worker
 # count and on both kernel backends, so any change to the library report
 # (its skips' repr included) shows here.  Over 3..100000 there are four runs
-# of blocks, so workers 2 starts a real pool.
+# of blocks, so workers 2 forks two workers.
 REPORT_DIGESTS = [
     (SearchSpec("lucas", LucasParams(3, 1), 3, 100_000),
      "e1f3c051af3a66b0892acf1fe59e57e921aa6bdd26d5427ed0cd6194091afdb0"),
@@ -226,97 +226,149 @@ def test_fixture_parse_errors():
         parse_fixtures("lucas P=3 Q=1 range=3..50\n")  # no expect
 
 
-class InlinePool:
-    """A process pool stand-in that runs each task in-process as it is submitted."""
-
-    sizes = []  # max_workers of every pool made
-    submitted = []  # the arguments of every task submitted: (spec, lo, hi, render)
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.submitted.append(args)
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+def time_out(signum, frame):
+    raise TimeoutError("the forked search did not end")
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(InlinePool, "submitted", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+def forks(monkeypatch):
+    """The pids of the workers that ``iter_blocks`` forks, through a wrapper around ``os.fork``.
+
+    The test fails, and does not hang, if a search does not end within a
+    minute (a worker blocked on a pipe that is never closed, say).
+    """
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
     # many cores, so that only the tests that lower it meet the core cap
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    return InlinePool
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(60)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
-def test_workers_capped_at_block_count(inline_pool):
-    # the pool never has more processes than runs of blocks, so a huge
-    # worker count starts no more than three
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_capped_at_block_count(forks):
+    # never more workers than runs of blocks, so a huge worker count forks
+    # no more than three
     point = PellParams.from_point(3, 8, 66)
     spec = SearchSpec("pell", point, 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
-    assert inline_pool.sizes == []
+    assert forks == []
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert inline_pool.sizes == [3]
+    assert len(forks) == 3
     # a search of one run stays in-process
     enumerate_range(SearchSpec("pell", point, 3, 3 + search.RUN_SPAN - 1), workers=2)
-    assert inline_pool.sizes == [3]
+    assert len(forks) == 3
+    assert_no_child_left()
 
 
-def test_workers_capped_at_core_count(inline_pool, monkeypatch):
-    # the pool starts all its processes at once, so never more than one per core
+def test_workers_capped_at_core_count(forks, monkeypatch):
+    # every worker runs to the end of the range, so never more than one per core
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert enumerate_range(spec, workers=10**6) == baseline
     assert enumerate_range(spec, workers=None) == baseline
-    assert inline_pool.sizes == [2, 2]
+    assert len(forks) == 4
     # an unknown core count means one: the search stays in-process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert inline_pool.sizes == [2, 2]
+    assert len(forks) == 4
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(inline_pool, workers):
+def test_workers_below_one_rejected(forks, workers):
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
     with pytest.raises(ValueError, match="workers"):
         enumerate_range(spec, workers=workers)
-    assert inline_pool.sizes == []
+    assert forks == []
 
 
 def count_skips(block):
-    """A render hook: the block with its skips replaced by their number."""
+    """A render hook: the block with its skips replaced by their number, and the renderer's pid."""
     hits, skips, counts = block
-    return list(hits), len(skips), tuple(counts)
+    return (list(hits), len(skips), tuple(counts)), os.getpid()
 
 
-def test_blocks_are_rendered_in_the_pool_tasks(inline_pool):
+def test_blocks_are_rendered_in_the_workers(forks):
     spec = SearchSpec("pell", PellParams.from_seed(6, 4), 3, 3 + 3 * search.RUN_SPAN - 1)
-    expected = [count_skips(block) for block in search.iter_blocks(spec, 1)]
-    assert list(search.iter_blocks(spec, 2, count_skips)) == expected
-    # the hook travels with each task, so the worker renders the blocks
-    assert [args[-1] for args in inline_pool.submitted] == [count_skips] * 3
+    inline = list(search.iter_blocks(spec, 1, count_skips))
+    forked = list(search.iter_blocks(spec, 2, count_skips))
+    assert [part for part, _ in forked] == [part for part, _ in inline]
+    assert {pid for _, pid in inline} == {os.getpid()}
+    # block i comes from worker i mod 2, which rendered it
+    assert [pid for _, pid in forked] == [forks[i % 2] for i in range(len(forked))]
+    assert len(forks) == 2 and os.getpid() not in forks
+    assert_no_child_left()
 
 
-def test_pool_look_ahead_is_bounded(inline_pool):
-    workers, runs = 2, 7
-    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + runs * search.RUN_SPAN - 1)
-    blocks = search.iter_blocks(spec, workers)
-    for i, _ in enumerate(blocks):
-        consumed_runs = i // search.RUN_BLOCKS + 1
-        assert len(inline_pool.submitted) <= consumed_runs - 1 + search.LOOKAHEAD * workers
-    assert i + 1 == runs * search.RUN_BLOCKS
-    assert [args[1] for args in inline_pool.submitted] == list(range(3, spec.hi, search.RUN_SPAN))
+def test_closing_the_generator_reaps_the_workers(forks):
+    # seven runs of sparse blocks: the workers fill their pipes and block
+    # on them, so only closing the read ends lets them end
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
+    blocks = search.iter_blocks(spec, 2)
+    assert next(blocks) == next(search.iter_blocks(spec, 1))
+    blocks.close()
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_ctrl_c_reaps_the_workers(forks):
+    # SIGINT reaches this process alone, between two blocks
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
+    with pytest.raises(KeyboardInterrupt):
+        for _ in search.iter_blocks(spec, 2):
+            os.kill(os.getpid(), signal.SIGINT)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def fail_to_render(block):
+    """A render hook that raises."""
+    raise LookupError("no renderer")
+
+
+def test_a_workers_exception_is_raised_in_the_caller(forks):
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    with pytest.raises(LookupError, match="no renderer"):
+        list(search.iter_blocks(spec, 2, fail_to_render))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+PARENT = os.getpid()
+
+
+def vanish_in_a_worker(block):
+    """A render hook that ends a worker without a word, and passes blocks in this process."""
+    if os.getpid() != PARENT:
+        os._exit(0)
+    return block
+
+
+def test_a_worker_that_ends_early_is_an_error(forks):
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    with pytest.raises(RuntimeError, match="ended before"):
+        list(search.iter_blocks(spec, 2, vanish_in_a_worker))
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_blocks_are_made_lazily():
@@ -520,6 +572,22 @@ def test_scans_reject_other_kinds(kind):
             kernels.scan(kind, False, params, lo, lo + 40)
     with pytest.raises(ValueError, match="kind must be"):
         _kernels_py.decide(kind, False, params, [85], _kernels_py)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("lucas", PellParams.from_point(3, 8, 66)),
+    ("lucas", PellParams.from_seed(3, 4)),
+    ("pell", LucasParams(3, 1)),
+])
+def test_scans_reject_the_other_kinds_record(kind, params):
+    # a TypeError on both sides of 2**63: from the compiled scan below it
+    # when it is built, and from the pure scan
+    for lo in (3, 2**63 + 1):
+        with pytest.raises(TypeError):
+            kernels.scan(kind, False, params, lo, lo + 40)
+    for backend in BACKENDS.values():
+        with pytest.raises(TypeError):
+            backend.scan(kind, False, params, 3, 50)
 
 
 def test_per_n_tests_reject_the_other_kinds_record():
