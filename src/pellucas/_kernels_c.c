@@ -18,6 +18,13 @@
  * turn and collects the tested ones into groups of LANES, whose ladders
  * run side by side, one product of each lane per step, so that the
  * products overlap in the pipeline; each group is then decided in n order.
+ * The lanes were kept over one ladder per n: they pay for Q = 1 (every
+ * Pell search) and cost a little for Q != 1.  One ladder's time over the
+ * lanes', both builds in one process, 300 shuffled rounds per case on one
+ * core of a 2-core Intel Xeon (gcc 12.2): Lucas (3, 1) at 10^12 1.14 and
+ * 1.06, seed (6, 4) at 10^12 1.14 and 1.11, Lucas (4, 3) at 10^12 0.96 and
+ * 0.95, and at 2^62 0.93 and 0.97; a LANES = 1 build read as one ladder
+ * did.  A CPU with more multiply throughput may differ.
  * Primality is asked lazily, as in decide: only where U_k = 0, since a
  * prime that passes the gates always has U_k = 0.  Miller-Rabin takes the
  * bases that n's size needs (_kernels_py.MR_BATTERY) and runs them in

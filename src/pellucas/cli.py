@@ -29,8 +29,7 @@ from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .fixtures import KINDS, reproduce
 from .lucas import LucasParams, lucas_test, strong_lucas_test
 from .modring import as_modulus
-from .search import SearchSpec, iter_blocks
-from .verdict import Status
+from .search import SearchSpec, iter_blocks, merge
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +118,7 @@ def cmd_enumerate(parser, args):
         # the skips go to a spool as text, block by block, and from there
         # into the record between its head and its counts
         with tempfile.TemporaryFile("w+") as spool:
-            hits, counts = _stream_blocks(spec, args.workers, _tally_json, spool.write)
+            hits, counts = merge(iter_blocks(spec, args.workers, _tally_json), spool.write)
             head = _record(
                 "enumerate",
                 kind=args.kind,
@@ -136,13 +135,13 @@ def cmd_enumerate(parser, args):
             sys.stdout.write("], " + tail[1:] + "\n")
         return 0
     if args.format == "csv":
-        hits, _ = _stream_blocks(spec, args.workers, _tally)
+        hits, _ = merge(iter_blocks(spec, args.workers, _tally))
         # the header is printed even when there are no hits
         row = _record("enumerate", kind=args.kind, **shown, n=None)
         _print_csv([dict(row, n=n) for n in hits], columns=list(row))
         return 0
     reasons = Counter()
-    hits, counts = _stream_blocks(spec, args.workers, _tally_reasons, reasons.update)
+    hits, counts = merge(iter_blocks(spec, args.workers, _tally_reasons), reasons.update)
     lines = [
         f"{args.kind} pseudoprimes in [{args.lo}, {args.to}] "
         + " ".join(f"{k}={v}" for k, v in shown.items())
@@ -159,15 +158,15 @@ def cmd_enumerate(parser, args):
 
 
 def _tally(block):
-    """Render hook for CSV: a block's hits and status counts, and no skips."""
+    """Render hook for CSV: the block as ``(hits, rest, counts)``, keeping no skips in ``rest``."""
     hits, _, counts = block
-    return hits, counts, None
+    return hits, None, counts
 
 
 def _tally_reasons(block):
     """Render hook for the table: ``_tally``, with the block's skips counted per reason."""
     hits, skips, counts = block
-    return hits, counts, Counter(map(itemgetter(1), skips))
+    return hits, Counter(map(itemgetter(1), skips)), counts
 
 
 def _tally_json(block):
@@ -181,24 +180,7 @@ def _tally_json(block):
         f', {{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
         for n, reason, factor in skips
     ])
-    return hits, counts, text
-
-
-def _stream_blocks(spec, workers, render, take=None):
-    """Consume ``iter_blocks`` with a ``_tally`` hook; returns (hits, status counts).
-
-    No skip is kept: each block is rendered in the process that scanned it
-    into its hits, its status counts and what the output keeps of its
-    skips, which goes to ``take``.
-    """
-    hits = []
-    counts = [0] * len(Status)
-    for part_hits, part_counts, part_skips in iter_blocks(spec, workers, render):
-        hits.extend(part_hits)
-        counts = [a + b for a, b in zip(counts, part_counts)]
-        if take is not None:
-            take(part_skips)
-    return hits, {status.value: count for status, count in zip(Status, counts)}
+    return hits, text, counts
 
 
 def cmd_bridge(parser, args):

@@ -9,10 +9,9 @@ exceptions.
 from collections import namedtuple
 from importlib import resources
 
-from .conic import ConicPoint, PellParams, pell_pow
+from .conic import ConicPoint, PellParams, is_member, pell_pow
 from .lucas import LucasParams, lucas_uv_mod
 from .search import SearchSpec, check_workers, enumerate_range
-from .verdict import REASON_NOT_ON_CONIC
 
 KINDS = ("lucas", "pell", "pell-membership", "lucas-value", "pell-value")
 
@@ -86,13 +85,10 @@ def _run_table(fixture, workers):
     return enumerate_range(spec, workers).pseudoprimes
 
 
-def _run_membership(fixture, workers):
-    params = PellParams.from_point(fixture.get("D"), fixture.get("x"), fixture.get("y"))
-    spec = SearchSpec("pell", params, fixture.get("lo"), fixture.get("hi"))
-    report = enumerate_range(spec, workers)
-    off_conic = set(report.skipped_ns(REASON_NOT_ON_CONIC))
-    start = spec.lo if spec.lo % 2 else spec.lo + 1
-    return tuple(n for n in range(start, spec.hi + 1, 2) if n not in off_conic)
+def _run_membership(fixture):
+    x, y, d = fixture.get("x"), fixture.get("y"), fixture.get("D")
+    lo, hi = fixture.get("lo"), fixture.get("hi")
+    return tuple(n for n in range(lo | 1, hi + 1, 2) if is_member(x, y, d, n))
 
 
 def _run_value(fixture):
@@ -110,7 +106,7 @@ def run_fixture(fixture, workers=1):
     if fixture.kind in ("lucas", "pell"):
         actual = _run_table(fixture, workers)
     elif fixture.kind == "pell-membership":
-        actual = _run_membership(fixture, workers)
+        actual = _run_membership(fixture)
     else:
         actual = _run_value(fixture)
     passed = actual == fixture.expected

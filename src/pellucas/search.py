@@ -12,15 +12,16 @@ the test on every odd n of the block and returns its hits, its skips as
 place, and its counts.  ``iter_blocks`` yields those block by block, in
 block order, so a caller that streams them (the CLI does) holds one block
 at a time, and can have each block rendered where it was scanned (in a
-worker, say); ``enumerate_range`` collects them as they are.  With more
-than one worker, the blocks are dealt round-robin to forked worker
-processes, each of which streams its blocks back through its own pipe,
-one pickle per block; a full pipe blocks its writer, so no more than a
-pipe's worth of each worker's output is ever in flight.  The
-scan is compiled when the extension is built and the block's end and the
-test parameters fit in signed 64-bit integers; otherwise it runs on the
-pure-Python kernels.  The pure scan and the per-n tests share one
-decision function, ``_kernels_py.decide``; the C scan mirrors it.
+worker, say); ``merge`` consumes them, for ``enumerate_range`` and the
+CLI alike.  With more than one worker, the blocks are dealt round-robin
+to forked worker processes, each of which streams its blocks back
+through its own pipe, one self-delimiting pickle per block; a full pipe
+blocks its writer, so no more than a pipe's worth of each worker's
+output is ever in flight.  The scan is compiled when the extension is
+built and the block's end and the test parameters fit in signed 64-bit
+integers; otherwise it runs on the pure-Python kernels.  The pure scan
+and the per-n tests share one decision function, ``_kernels_py.decide``;
+the C scan mirrors it.
 """
 
 import os
@@ -96,19 +97,17 @@ def _plain(block):
 
 
 def _send(out, obj):
-    """Write ``obj`` to a worker's pipe as one length-prefixed pickle."""
+    """Write ``obj`` to a worker's pipe as one pickle, built whole so an error writes nothing."""
     import pickle  # imported by ``iter_blocks`` before the fork
 
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    out.write(len(data).to_bytes(8, "little"))
-    out.write(data)
+    out.write(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
     out.flush()
 
 
 def _fork_worker(spec, starts, render, write_end, readers):
     """Fork a worker that sends the blocks at ``starts`` into ``write_end``; returns its pid.
 
-    The worker sends each block, rendered (or ``_plain``), as one message,
+    The worker sends each block, rendered (or ``_plain``), as one pickle,
     and an exception that it meets in place of the next block.  It ignores
     SIGINT: Ctrl-C is the parent's to handle, and once the parent has
     closed the read ends, the worker's next write fails and ends it.  It
@@ -133,20 +132,20 @@ def _fork_worker(spec, starts, render, write_end, readers):
         except BaseException as err:  # the parent re-raises it
             _send(out, err)
     finally:
+        # tested by pid, not by where the fork returned: a signal can raise
+        # in the worker as soon as os.fork() returns, before ``pid`` is bound
         if os.getpid() != parent:
             os._exit(0)  # the parent reads the outcome from the pipe
 
 
 def _receive(reader):
-    """The next message of a worker's pipe; raises the worker's exception."""
+    """The next pickle of a worker's pipe; raises its exception, or ``RuntimeError`` if cut short."""
     import pickle  # imported by ``iter_blocks`` before the fork
 
-    head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    data = reader.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise RuntimeError("a search worker ended before it sent all its blocks")
-    message = pickle.loads(data)
+    try:
+        message = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError) as err:
+        raise RuntimeError("a search worker ended before it sent all its blocks") from err
     if isinstance(message, BaseException):
         raise message
     return message
@@ -174,10 +173,12 @@ def iter_blocks(spec, workers=1, render=None):
 
     ``render`` is applied to each block's tuple in the process that
     scanned the block, and its result is yielded instead; a worker then
-    sends only what the caller keeps.  Whatever way the generator ends
-    (exhausted, closed, or by an exception, ``KeyboardInterrupt`` included),
-    it reaps every worker first; a worker's exception is raised here, and
-    a worker that ends early raises ``RuntimeError``.
+    sends only what the caller keeps.  ``merge`` takes a hook's result in
+    the block's own shape, ``(hits, rest, counts)``.  Whatever way the
+    generator ends (exhausted, closed, or by an exception,
+    ``KeyboardInterrupt`` included), it reaps every worker first; a
+    worker's exception is raised here, and a worker that ends early raises
+    ``RuntimeError``.
     """
     check_workers(workers)
     cores = os.cpu_count() or 1
@@ -215,6 +216,23 @@ def iter_blocks(spec, workers=1, render=None):
             os.waitpid(pid, 0)
 
 
+def merge(blocks, take=None):
+    """Merge ``(hits, rest, counts)`` blocks in order; returns (hits, status counts).
+
+    The one consumer of ``iter_blocks``: it keeps every block's hits and
+    sums its counts per ``Status``, and hands each block's middle item (its
+    skips, or what a render hook made of them) to ``take``.
+    """
+    hits = []
+    counts = [0] * len(Status)
+    for part_hits, rest, part_counts in blocks:
+        hits.extend(part_hits)
+        counts = [a + b for a, b in zip(counts, part_counts)]
+        if take is not None:
+            take(rest)
+    return hits, {status.value: count for status, count in zip(Status, counts)}
+
+
 def enumerate_range(spec, workers=1):
     """Run the spec over its range, fanning blocks out to worker processes.
 
@@ -222,12 +240,6 @@ def enumerate_range(spec, workers=1):
     ``workers`` value; see ``iter_blocks``.  Each skip is the scan's own
     ``Skip`` namedtuple ``(n, reason, factor)``.
     """
-    hits = []
     skips = []
-    counts = [0] * len(Status)
-    for part_hits, part_skips, part_counts in iter_blocks(spec, workers):
-        hits.extend(part_hits)
-        skips.extend(part_skips)
-        counts = [a + b for a, b in zip(counts, part_counts)]
-    counts = {status.value: count for status, count in zip(Status, counts)}
+    hits, counts = merge(iter_blocks(spec, workers), skips.extend)
     return SearchReport(spec, tuple(hits), tuple(skips), counts)

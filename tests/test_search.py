@@ -1,6 +1,7 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
 import hashlib
+import io
 import os
 import pickle
 import signal
@@ -369,6 +370,74 @@ def test_a_worker_that_ends_early_is_an_error(forks):
         list(search.iter_blocks(spec, 2, vanish_in_a_worker))
     assert len(forks) == 2
     assert_no_child_left()
+
+
+def test_a_signal_as_the_fork_returns_ends_the_worker(forks, monkeypatch, tmp_path):
+    # Ctrl-C can raise in a worker as soon as os.fork() returns there: the
+    # worker must still end, and not return into this test
+    me, forked = os.getpid(), os.fork
+
+    def fork():
+        pid = forked()
+        if pid == 0:
+            raise KeyboardInterrupt
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    try:
+        list(search.iter_blocks(spec, 2))
+    except BaseException as err:
+        if os.getpid() != me:  # a worker that got here: leave a mark, end at once
+            (tmp_path / str(os.getpid())).touch()
+            os._exit(1)
+        assert isinstance(err, RuntimeError) and "ended before" in str(err)
+    else:
+        raise AssertionError("the workers sent no blocks, yet no error")
+    assert list(tmp_path.iterdir()) == []
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def refuse_to_load():
+    raise AssertionError("the parent read part of a message that failed to pickle")
+
+
+class LoadBomb:
+    """Pickles, but raises when it is unpickled."""
+
+    def __reduce__(self):
+        return refuse_to_load, ()
+
+
+def unpicklable(block):
+    """A render hook whose result cannot be pickled, after a ``LoadBomb`` and 100 kB that can."""
+    return LoadBomb(), bytes(100_000), lambda: None
+
+
+def test_a_result_that_cannot_be_pickled_is_raised_in_the_caller(forks):
+    # the pickle is built whole before the write: a pickler that wrote as it
+    # went would have sent the bomb and the 100 kB, which the parent would
+    # then unpickle
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        list(search.iter_blocks(spec, 2, unpicklable))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+# a block of 10,000 skips: about 100 kB, so its pickle has two frames
+SENT = pickle.dumps(
+    ([], [(n, "point-not-on-conic", None) for n in range(3, 20003, 2)], [0, 0, 0, 10000]),
+    pickle.HIGHEST_PROTOCOL,
+)
+
+
+@pytest.mark.parametrize("cut", [len(SENT), 1, 2, 9, 1000, len(SENT) // 2])
+def test_a_pipe_that_ends_within_a_message_is_an_error(cut):
+    # an empty pipe, or one that ends within the pickle's last frame or its first
+    with pytest.raises(RuntimeError, match="ended before"):
+        search._receive(io.BytesIO(SENT[:-cut]))
 
 
 def test_blocks_are_made_lazily():
