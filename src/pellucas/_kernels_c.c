@@ -31,11 +31,35 @@
  * lockstep too.  Its skips are rows of _kernels_py's Skip namedtuple, with
  * the reason strings that module defines; the module init fetches both.
  *
+ * A sieve by the odd primes p below SIEVE_BOUND = 512 decides most tested
+ * n before the ladder.  The lemma (Baillie and Wagstaff, "Lucas
+ * pseudoprimes", Math. Comp. 35, 1980): for p not dividing Q, p | U_k
+ * exactly when the rank of apparition w(p), the least j >= 1 with
+ * p | U_j, divides k; and w(p) | p - (D/p) when p does not divide 2QD.
+ * On the paper's conic it is a group fact: mod p, x^2 - d y^2 = 1 under
+ * the Brahmagupta product is a cyclic group of order p - (d/p), and
+ * (x, y)^k = (V_k/2, y U_k) with p not dividing y has y U_k = 0 exactly
+ * when (x, y)^k = (+-1, 0), so w(p) is the order of (x, y) modulo +-1.
+ * So a composite n with a factor p and w(p) not dividing k = n - (D/n) has
+ * U_k != 0 mod p, hence mod n: CompositeDetected, with no ladder.  At
+ * its first tested n, the scan marks each window of SIEVE_WINDOW odd n
+ * with the odd multiples m != p of each p, one bit for w(p) not dividing
+ * m - 1 and one for m + 1, and when hi < 512^2 a third bit for a factor
+ * below 512.  Every
+ * odd composite below 512^2 has one, so there an unmarked tested n is
+ * prime, with neither ladder nor Miller-Rabin; 512^2 = 262144 covers the
+ * small-n range, 3..2*10^5.  The ranks come from the raw parameters mod p
+ * by the recurrence, and are 0 (no rank bit) where the gates skip every
+ * multiple of p.  A one-entry memo, keyed by the kind (Lucas, Pell seed
+ * or point) and the raw parameters, keeps them from one call to the next,
+ * so a search pays for them once.
+ *
  * Build in place with:  python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
@@ -68,6 +92,11 @@ static const struct {
 
 /* The scan's group size: it runs the V-ladder of this many n at once. */
 enum { LANES = 4 };
+
+/* The scan's sieve: the odd primes below SIEVE_BOUND, over windows of
+ * SIEVE_WINDOW odd n.  Every odd composite below SIEVE_BOUND^2 = 262144
+ * has a prime factor below SIEVE_BOUND. */
+enum { SIEVE_BOUND = 512, SIEVE_WINDOW = 1024 };
 
 static inline u64
 mulmod(u64 a, u64 b, u64 n)
@@ -444,6 +473,138 @@ reduce(long long v, u64 n)
     return r < 0 ? (u64)(r + (long long)n) : (u64)r;
 }
 
+/* The odd primes below SIEVE_BOUND, set by the module init. */
+static unsigned sieve_primes[SIEVE_BOUND / 2];
+static int sieve_count;
+
+static void
+init_sieve_primes(void)
+{
+    unsigned char composite[SIEVE_BOUND] = {0};
+    for (unsigned p = 3; p < SIEVE_BOUND; p += 2) {
+        if (composite[p])
+            continue;
+        sieve_primes[sieve_count++] = p;
+        for (unsigned m = p * p; m < SIEVE_BOUND; m += 2 * p)
+            composite[m] = 1;
+    }
+}
+
+/* The rank of apparition of the odd prime p in U(P, Q), the least j >= 1
+ * with p | U_j, for P, Q < p and p not dividing QD; it divides p - (D/p),
+ * so the recurrence meets it by j = p + 1 (0 if not, which cannot be). */
+static unsigned
+rank_of(u64 P, u64 Q, u64 p)
+{
+    u64 u0 = 0, u1 = 1;
+    for (unsigned j = 1; j <= p + 1; j++) {
+        if (u1 == 0)
+            return j;
+        u64 t = (P * u1 + (p - Q) * u0) % p;  /* U_{j+1} = P U_j - Q U_{j-1} */
+        u0 = u1;
+        u1 = t;
+    }
+    return 0;
+}
+
+/* The rank of the odd prime p for a scan's test, the Lucas (P, Q) or the
+ * Pell P = 2x, Q = 1 with D = 4 d y^2, from the raw parameters reduced mod
+ * p.  0 where the gates skip every multiple of p: p | QD for Lucas; for
+ * Pell phi undefined mod p, the point off the conic mod p, or p | yd. */
+static unsigned
+test_rank(int lucas, int seed, const long long *par, u64 p)
+{
+    u64 P, Q = 1;
+    if (lucas) {
+        P = reduce(par[0], p);
+        Q = reduce(par[1], p);
+        if (Q == 0 || mulmod(P, P, p) == mulmod(4, Q, p))
+            return 0;
+    } else {
+        u64 d = reduce(par[0], p), x, y;
+        if (seed) {
+            u64 a = reduce(par[1], p), t = submod(mulmod(a, a, p), d, p);
+            if (t == 0)
+                return 0;
+            u64 inv = invmod(t, p);
+            x = mulmod(addmod(mulmod(a, a, p), d, p), inv, p);
+            y = mulmod(addmod(a, a, p), inv, p);
+        } else {
+            x = reduce(par[1], p);
+            y = reduce(par[2], p);
+            if (submod(mulmod(x, x, p), mulmod(d, mulmod(y, y, p), p), p) != 1)
+                return 0;
+        }
+        if (y == 0 || d == 0)
+            return 0;
+        P = addmod(x, x, p);
+    }
+    return rank_of(P, Q, p);
+}
+
+/* The ranks of the last scan's test, one per sieve prime, keyed by its
+ * kind (Lucas, Pell seed or Pell point) and its raw parameters: a search
+ * scans block after block with one test, and pays for them once. */
+static struct {
+    int filled, lucas, seed;
+    long long par[3];
+    unsigned short rank[SIEVE_BOUND / 2];
+} rank_memo;
+
+static const unsigned short *
+test_ranks(int lucas, int seed, const long long *par)
+{
+    if (!(rank_memo.filled && rank_memo.lucas == lucas && rank_memo.seed == seed &&
+          memcmp(rank_memo.par, par, sizeof rank_memo.par) == 0)) {
+        for (int j = 0; j < sieve_count; j++)
+            rank_memo.rank[j] = test_rank(lucas, seed, par, sieve_primes[j]);
+        rank_memo.filled = 1;
+        rank_memo.lucas = lucas;
+        rank_memo.seed = seed;
+        memcpy(rank_memo.par, par, sizeof rank_memo.par);
+    }
+    return rank_memo.rank;
+}
+
+/* A window's marks on an odd n: that some prime p | n, p != n, has its rank
+ * w(p) not dividing n - 1 (or n + 1), and, for an exact scan, that n has a
+ * factor below SIEVE_BOUND. */
+enum { RANK_NDIV_MINUS = 1, RANK_NDIV_PLUS = 2, SMALL_FACTOR = 4 };
+
+/* Mark the odd n = w0 + 2i, i < width, with each odd multiple m != p of
+ * each sieve prime p: RANK_NDIV_MINUS where w(p) does not divide m - 1,
+ * RANK_NDIV_PLUS where it does not divide m + 1 (none where the rank is
+ * 0), and if `exact` SMALL_FACTOR.  m mod w(p) steps with m, with no
+ * division per mark. */
+static void
+sieve_window(const unsigned short *rank, u64 w0, unsigned width, int exact,
+             unsigned char *flags)
+{
+    memset(flags, 0, width);
+    for (int j = 0; j < sieve_count; j++) {
+        u64 p = sieve_primes[j], w = rank[j];
+        if (w == 0 && !exact)
+            continue;
+        u64 m = w0 + (p - w0 % p) % p;  /* the least multiple of p >= w0 */
+        if ((m & 1) == 0)
+            m += p;
+        if (m == p)
+            m += 2 * p;
+        u64 i = (m - w0) >> 1, r = w ? m % w : 0, step = w ? 2 * p % w : 0;
+        unsigned char mark = exact ? SMALL_FACTOR : 0;
+        for (; i < width; i += p) {
+            unsigned char bits = mark;
+            if (w) {
+                bits |= (r != 1) * RANK_NDIV_MINUS | (r != w - 1) * RANK_NDIV_PLUS;
+                r += step;
+                if (r >= w)
+                    r -= w;
+            }
+            flags[i] |= bits;
+        }
+    }
+}
+
 enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC, SKIP_CODES };
 
 /* _kernels_py.Skip and the reason of each skip code, set by the module
@@ -521,7 +682,7 @@ decide_group(group *g, int used, int strong, PyObject *hits,
 static PyObject *
 scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long long par[3];
+    long long par[3] = {0, 0, 0};
     u64 lo, hi;
     if (nargs != 5) {
         PyErr_Format(PyExc_TypeError, "scan() takes 5 arguments (%zd given)", nargs);
@@ -575,6 +736,10 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     /* count the odd n rather than step past hi, which may be 2**63 - 1 */
     u64 first = lo | 1;
     u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
+    const unsigned short *rank = test_ranks(lucas, seed, par);
+    int exact = hi < (u64)SIEVE_BOUND * SIEVE_BOUND;
+    unsigned char flags[SIEVE_WINDOW];
+    u64 window = UINT64_MAX;  /* the window that flags holds */
     for (u64 i = 0; i < count; i++) {
         u64 n = first + 2 * i, p, q, dn, g;
         int eps;
@@ -632,6 +797,24 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             }
             p = addmod(x, x, n);
             q = 1;
+        }
+        /* a window is sieved at its first tested n, so a sparse search,
+         * whose gates skip almost every n, skips most windows whole */
+        if (i / SIEVE_WINDOW != window) {
+            window = i / SIEVE_WINDOW;
+            u64 start = window * SIEVE_WINDOW;
+            sieve_window(rank, first + 2 * start,
+                         count - start < SIEVE_WINDOW ? count - start : SIEVE_WINDOW, exact, flags);
+        }
+        unsigned char bits = flags[i % SIEVE_WINDOW];
+        /* a prime p | n with w(p) not dividing k = n - eps: U_k != 0 mod p */
+        if (bits & (eps > 0 ? RANK_NDIV_MINUS : RANK_NDIV_PLUS)) {
+            detected++;
+            continue;
+        }
+        if (exact && !(bits & SMALL_FACTOR)) {
+            primes++;
+            continue;
         }
         mont_init(&grp.m[used], n);
         grp.p[used] = to_mont(p, &grp.m[used]);
@@ -773,6 +956,8 @@ PyInit__kernels_c(void)
 {
     if (load_skip() < 0)
         return NULL;
+    if (sieve_count == 0)
+        init_sieve_primes();
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
         Py_CLEAR(m);

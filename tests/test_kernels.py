@@ -7,6 +7,8 @@ from math import isqrt, prod
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellucas import LucasParams, PellParams, kernels
 from pellucas.verdict import Status
@@ -339,6 +341,41 @@ def test_compiled_scan_rows_do_not_leak():
     diffs = last.filter_traces(mine).compare_to(first.filter_traces(mine), "filename")
     grown = sum(stat.size_diff for stat in diffs)
     assert grown <= 0, f"traced memory grew by {grown} bytes"
+
+
+ODD_PRIMES_BELOW_512 = sorted(sieve_primes(3, 512))
+# P and Q both small and across the signed 64-bit range of the compiled scan
+SIGNED = st.integers(-50, 50) | st.integers(-(2**63), 2**63 - 1)
+
+
+def rank_of_apparition(P, Q, p):
+    """The least j >= 1 with p | U_j(P, Q), by the recurrence; None if none by j = 2p."""
+    u0, u1 = 0, 1
+    for j in range(1, 2 * p + 1):
+        if u1 == 0:
+            return j
+        u0, u1 = u1, (P * u1 - Q * u0) % p
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES_BELOW_512), P=SIGNED, Q=SIGNED, k=st.integers(0, 2**64))
+def test_rank_of_apparition_decides_u(p, P, Q, k):
+    # the compiled scan's sieve rests on two facts (Baillie and Wagstaff,
+    # "Lucas pseudoprimes", 1980): for p not dividing Q, p | U_k exactly
+    # when the rank w(p) divides k; for p not dividing 2QD, w(p) divides
+    # p - (D/p)
+    pure = BACKENDS["pure"]
+    P, Q = P % p, Q % p
+    if Q == 0:
+        return
+    w = rank_of_apparition(P, Q, p)
+    assert w is not None
+    for j in (k, w - 1, w, w + 1, 2 * w, 3 * w + 1, p - 1, p, p + 1):
+        assert (pure.lucas_uv(P, Q, j, p)[0] == 0) == (j % w == 0), j
+    D = (P * P - 4 * Q) % p
+    if D:
+        assert (p - pure.jacobi(D, p)) % w == 0
 
 
 def test_mr_bound_exposed():

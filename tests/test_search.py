@@ -606,6 +606,42 @@ def test_scan_short_ranges(odd_count):
                     assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
 
 
+@pytest.mark.parametrize("lo, hi", [(512**2 - 401, 512**2 - 1), (512**2 - 399, 512**2 + 1),
+                                    (521**2 - 200, 521**2 + 200)])
+def test_scan_at_the_edge_of_the_exact_sieve(lo, hi):
+    # the compiled scan counts an n with no factor below 512 as prime when
+    # hi < 512**2, where every odd composite has such a factor; 521**2 is
+    # the least odd composite with none
+    for kind, params in LANE_CASES:
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, lo, hi)
+            for name in BACKENDS:
+                assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
+
+
+@pytest.mark.parametrize("lo", [3, 2**32 - 2001, 10**12 + 7, 2**63 - 4201])
+def test_scan_across_sieve_windows(lo):
+    # the compiled scan sieves windows of 1024 odd n: 2,100 odd n from lo
+    # fill two windows and part of a third.  kernels.scan runs it when it
+    # is built; the pure scan of this many n is slow near 2**63.
+    hi = lo + 2 * 2099
+    for kind, params in LANE_CASES:
+        for strong in (False, True):
+            hits, skips, counts = kernels.scan(kind, strong, params, lo, hi)
+            assert (list(hits), list(skips), tuple(counts)) == per_n_scan(kind, strong, params, lo, hi)
+
+
+def test_scan_ranks_follow_the_test():
+    # the compiled scan keeps the last test's ranks; Lucas (3, 8) and the
+    # seed d = 3, a = 8 share their raw parameters, not their ranks
+    for kind, params in (("lucas", LucasParams(3, 8)), ("pell", PellParams.from_seed(3, 8)),
+                         ("lucas", LucasParams(3, 8))):
+        for strong in (False, True):
+            expected = per_n_scan(kind, strong, params, 3, 4001)
+            for name in BACKENDS:
+                assert backend_scan(name, kind, strong, params, 3, 4001) == expected, name
+
+
 def test_scan_dispatch_either_side_of_the_compiled_limit():
     # hi and the parameters just inside the signed 64-bit range take the
     # compiled scan when it is built; one past it, the pure scan
