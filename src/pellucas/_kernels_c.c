@@ -54,6 +54,25 @@
  * or point) and the raw parameters, keeps them from one call to the next,
  * so a search pays for them once.
  *
+ * Each gate asks about an integer fixed for the whole search, modulo n:
+ * for Lucas (D/n) with D = P^2 - 4Q, then gcd(Q, n); for a seed gcd(t, n)
+ * with t = a^2 - d (phi defined), then gcd(y, n), which is gcd(2a, n)
+ * once t is a unit, as y = 2a/t; for a point n | C with C = x^2 - d y^2 - 1
+ * (on the conic), then gcd(y, n); for both Pell forms (d/n) last.  The
+ * scan computes these constants once per call, in signed 128-bit
+ * arithmetic, and reads them per n with no 64-bit division.  Of a
+ * constant c = +-2^e c' with c' odd and below 2^63 it holds r = n mod c',
+ * stepped by 2 with n; then gcd(c, n) = gcd(c', r), as n is odd, and by
+ * quadratic reciprocity for the Jacobi symbol (Crandall and Pomerance,
+ * Prime Numbers, 2.3) (c/n) = +-(r/c'), with the sign read from n mod 8,
+ * c's sign, e and c' mod 4.  Where c' < 64, two masks built once per call
+ * hold, for every r, whether gcd(r, c') = 1 and whether (r/c') = -1.
+ * c = 0 and a c' of 2^63 or more are reduced mod each n instead, and
+ * n | C fails outright for C != 0 and n > |C|.  P and Q mod
+ * n, and a seed's x = (a^2 + d)/t with the inverse of t, are taken only
+ * for an n that reaches a lane group: no gate reads them, and the sieve
+ * decides most n first.
+ *
  * Build in place with:  python setup.py build_ext --inplace
  */
 #define PY_SSIZE_T_CLEAN
@@ -63,6 +82,7 @@
 
 typedef uint64_t u64;
 typedef unsigned __int128 u128;
+typedef __int128 i128;
 
 /* PyLong_AsUnsignedLong reads the digits directly; the long long variant
  * goes through a byte-array copy, about 10% of a pell_pow call. */
@@ -331,35 +351,49 @@ pair(u64 a, u64 b)
     return t;
 }
 
-static int
-jacobi_u64(u64 a, u64 n)
+/* gcd(a, m) for odd m, and the Jacobi symbol (a/m) in *sym (0 when the gcd
+ * is not 1), by the binary algorithm: strip a's factors of 2, each flipping
+ * the sign when m = 3, 5 mod 8, since (2/m) = -1 there; swap so that m is
+ * the smaller, flipping the sign when both are 3 mod 4 (reciprocity);
+ * subtract.  The loop ends at a = 0 with m = gcd(a, m).  Only where a swap
+ * leaves a over 256 times m does it divide (a mod m), which spares a small
+ * D against a large n some 40 subtractions; the scan's gates pass
+ * (n mod c', c'), which never divides for c' < 256.  Only bit 0 of flip is
+ * read. */
+static u64
+jacobi_gcd(u64 a, u64 m, int *sym)
 {
-    u64 t;
-    int result = 1;
+    u64 flip = 0;
     while (a) {
-        while ((a & 1) == 0) {
-            a >>= 1;
-            t = n & 7;
-            if (t == 3 || t == 5)
-                result = -result;
+        int z = __builtin_ctzll(a);
+        a >>= z;
+        flip ^= (u64)z & ((m >> 1) ^ (m >> 2));
+        if (a < m) {
+            u64 t = a;
+            flip ^= (a & m) >> 1;
+            a = m;
+            m = t;
+            if (a >> 8 > m) {
+                a %= m;
+                continue;
+            }
         }
-        t = a;
-        a = n;
-        n = t;
-        if ((a & 3) == 3 && (n & 3) == 3)
-            result = -result;
-        a %= n;
+        a -= m;
     }
-    return n == 1 ? result : 0;
+    *sym = m != 1 ? 0 : flip & 1 ? -1 : 1;
+    return m;
 }
 
 static PyObject *
 jacobi(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 v[2];
-    if (args_u64("jacobi", args, nargs, 2, v) < 0)
+    int sym;
+    /* on m = 0 the binary loop would never end */
+    if (args_u64("jacobi", args, nargs, 2, v) < 0 || !nonzero_modulus(v[1]))
         return NULL;
-    return PyLong_FromLong(jacobi_u64(v[0], v[1]));
+    jacobi_gcd(v[0], v[1], &sym);
+    return PyLong_FromLong(sym);
 }
 
 /* (U_k, V_k) mod n by fast doubling, for p, q < n and k >= 1: the single
@@ -436,17 +470,6 @@ is_prime(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyBool_FromLong(is_prime_mont(&m, 1));
 }
 
-static u64
-gcd_u64(u64 a, u64 b)
-{
-    while (b) {
-        u64 t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
 /* t^-1 mod n for gcd(t, n) = 1, by the extended Euclidean algorithm; the
  * Bezout coefficients stay below n < 2**63 in absolute value. */
 static u64
@@ -465,12 +488,112 @@ invmod(u64 t, u64 n)
     return s0 < 0 ? (u64)(s0 + (int64_t)n) : (u64)s0;
 }
 
-/* v mod n for a signed v and 0 < n < 2**63 */
+/* v mod n for a signed v and 0 < n < 2**63; no division where 0 <= v < n,
+ * as for the small P, Q, a and d of most searches */
 static inline u64
 reduce(long long v, u64 n)
 {
+    if (v >= 0 && (u64)v < n)
+        return (u64)v;
     long long r = v % (long long)n;
     return r < 0 ? (u64)(r + (long long)n) : (u64)r;
+}
+
+/* A constant c of a scan's gates, c = +-2^e c' with c' odd, read against
+ * each odd n in turn (see the header).  (c/n) = (+-1/n) (2/n)^e (c'/n),
+ * and (c'/n) = (r/c') but flipped when c' = n = 3 mod 4: the sign depends
+ * on n mod 8 alone.  The masks spare a small constant, as every benchmark
+ * search has, its binary Jacobi on each coprime n: about 4% of a small-n
+ * scan. */
+enum { MASK_BOUND = 64 };
+typedef struct {
+    i128 c;
+    u64 odd, r, step;  /* c', n mod c', 2 mod c'; odd = 0 where c is reduced mod n */
+    u64 unit, minus;   /* for c' < MASK_BOUND, bit r: gcd(r, c') = 1, (r/c') = -1 */
+    unsigned flips;    /* bit j: (c/n) = -(r/c') for n = 2j + 1 mod 8 */
+} constant;
+
+static void
+constant_init(constant *k, i128 c, u64 first)
+{
+    u128 odd = c < 0 ? -(u128)c : (u128)c;
+    int e = 0;
+    memset(k, 0, sizeof *k);
+    k->c = c;
+    if (odd == 0)
+        return;
+    for (; !(odd & 1); odd >>= 1)
+        e++;
+    if (odd >> 63)
+        return;
+    k->odd = (u64)odd;
+    k->r = first % k->odd;
+    k->step = 2 % k->odd;
+    for (u64 r = 0; k->odd < MASK_BOUND && r < k->odd; r++) {
+        int sym;
+        if (jacobi_gcd(r, k->odd, &sym) == 1)
+            k->unit |= (u64)1 << r;
+        if (sym < 0)
+            k->minus |= (u64)1 << r;
+    }
+    for (unsigned j = 0; j < 4; j++) {
+        unsigned n8 = 2 * j + 1, minus = n8 % 4 == 3;  /* (-1/n) = -1 */
+        unsigned two = (e & 1) && (n8 == 3 || n8 == 5);  /* (2/n)^e = -1 */
+        k->flips |= ((c < 0 && minus) ^ two ^ (k->odd % 4 == 3 && minus)) << j;
+    }
+}
+
+/* from n to n + 2 */
+static inline void
+constant_step(constant *k)
+{
+    u64 r = k->r + k->step;
+    k->r = r >= k->odd ? r - k->odd : r;
+}
+
+/* gcd(c, n) for the odd n the scan is at, and (c/n) in *sym */
+static inline u64
+constant_gcd(const constant *k, u64 n, int *sym)
+{
+    if (k->odd == 0) {
+        i128 r = k->c % (i128)n;
+        return jacobi_gcd((u64)(r < 0 ? r + (i128)n : r), n, sym);
+    }
+    unsigned flip = k->flips >> (n >> 1 & 3) & 1;
+    if (k->odd < MASK_BOUND && (k->unit >> k->r & 1)) {
+        *sym = (k->minus >> k->r & 1) ^ flip ? -1 : 1;
+        return 1;
+    }
+    u64 g = jacobi_gcd(k->r, k->odd, sym);
+    if (flip)
+        *sym = -*sym;
+    return g;
+}
+
+/* |C| for a point (d, x, y), C = x^2 - d y^2 - 1, or the u128 maximum
+ * where C overflows 128 bits */
+static u128
+conic_size(const long long *par)
+{
+    i128 c;
+    if (__builtin_mul_overflow((i128)par[2] * par[2], (i128)par[0], &c) ||
+        __builtin_sub_overflow((i128)par[1] * par[1] - 1, c, &c))
+        return ~(u128)0;
+    return c < 0 ? -(u128)c : (u128)c;
+}
+
+/* Whether a point (d, x, y) is on x^2 - d y^2 = 1 mod n: whether n divides
+ * C = x^2 - d y^2 - 1, which for C != 0 fails outright when n > |C|.
+ * conic is |C|, saturated where C overflows 128 bits. */
+static inline int
+on_conic(const long long *par, u128 conic, u64 n)
+{
+    if (conic == 0)
+        return 1;
+    if (n > conic)
+        return 0;
+    u64 d = reduce(par[0], n), x = reduce(par[1], n), y = reduce(par[2], n);
+    return submod(mulmod(x, x, n), mulmod(d, mulmod(y, y, n), n), n) == 1;
 }
 
 /* The odd primes below SIEVE_BOUND, set by the module init. */
@@ -740,63 +863,57 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int exact = hi < (u64)SIEVE_BOUND * SIEVE_BOUND;
     unsigned char flags[SIEVE_WINDOW];
     u64 window = UINT64_MAX;  /* the window that flags holds */
-    for (u64 i = 0; i < count; i++) {
-        u64 n = first + 2 * i, p, q, dn, g;
-        int eps;
+    /* the constants the gates read: Lucas D = P^2 - 4Q and Q; a seed's
+     * t = a^2 - d, 2a and d (gcd(y, n) = gcd(2a, n) once t is a unit, as
+     * y = 2a/t); a point's y and d, and |x^2 - d y^2 - 1| */
+    constant k[3];
+    constant_init(&k[0], lucas  ? (i128)par[0] * par[0] - 4 * (i128)par[1]
+                         : seed ? (i128)par[1] * par[1] - par[0] : 0, first);
+    constant_init(&k[1], lucas ? par[1] : seed ? 2 * (i128)par[1] : par[2], first);
+    constant_init(&k[2], lucas ? 0 : par[0], first);
+    u128 conic = lucas || seed ? 0 : conic_size(par);
+    for (u64 i = 0; i < count;
+         i++, constant_step(&k[0]), constant_step(&k[1]), constant_step(&k[2])) {
+        u64 n = first + 2 * i, g, p, q;
+        int eps, sym;
         if (lucas) {
-            p = reduce(par[0], n);
-            q = reduce(par[1], n);
-            dn = submod(mulmod(p, p, n), mulmod(4 % n, q, n), n);
-            eps = jacobi_u64(dn, n);
+            g = constant_gcd(&k[0], n, &eps);
             if (eps == 0) {
-                if (add_skip(skips, n, SKIP_JACOBI_ZERO, gcd_u64(dn, n)) < 0)
+                if (add_skip(skips, n, SKIP_JACOBI_ZERO, g) < 0)
                     goto fail;
                 continue;
             }
-            g = gcd_u64(q, n);
+            g = constant_gcd(&k[1], n, &sym);
             if (g > 1) {
                 if (add_skip(skips, n, SKIP_GCD, g) < 0)
                     goto fail;
                 continue;
             }
         } else {
-            u64 x, y;
-            dn = reduce(par[0], n);
             if (seed) {
-                u64 a = reduce(par[1], n), a2 = mulmod(a, a, n);
-                u64 t = submod(a2, dn, n);
-                g = gcd_u64(t, n);
+                g = constant_gcd(&k[0], n, &sym);
                 if (g != 1) {
                     if (add_skip(skips, n, SKIP_PHI_UNDEFINED, g) < 0)
                         goto fail;
                     continue;
                 }
-                u64 inv = invmod(t, n);
-                x = mulmod(addmod(a2, dn, n), inv, n);
-                y = mulmod(addmod(a, a, n), inv, n);
-            } else {
-                x = reduce(par[1], n);
-                y = reduce(par[2], n);
-                if (submod(mulmod(x, x, n), mulmod(dn, mulmod(y, y, n), n), n) != 1) {
-                    if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
-                        goto fail;
-                    continue;
-                }
+            } else if (!on_conic(par, conic, n)) {
+                if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
+                    goto fail;
+                continue;
             }
-            g = gcd_u64(y, n);
+            g = constant_gcd(&k[1], n, &sym);
             if (g > 1) {
                 if (add_skip(skips, n, SKIP_GCD, g) < 0)
                     goto fail;
                 continue;
             }
-            eps = jacobi_u64(dn, n);
+            g = constant_gcd(&k[2], n, &eps);
             if (eps == 0) {
-                if (add_skip(skips, n, SKIP_JACOBI_ZERO, gcd_u64(dn, n)) < 0)
+                if (add_skip(skips, n, SKIP_JACOBI_ZERO, g) < 0)
                     goto fail;
                 continue;
             }
-            p = addmod(x, x, n);
-            q = 1;
         }
         /* a window is sieved at its first tested n, so a sparse search,
          * whose gates skip almost every n, skips most windows whole */
@@ -815,6 +932,19 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (exact && !(bits & SMALL_FACTOR)) {
             primes++;
             continue;
+        }
+        /* P and Q mod n, for the ladder only: no gate reads them */
+        if (lucas) {
+            p = reduce(par[0], n);
+            q = reduce(par[1], n);
+        } else {
+            u64 x = reduce(par[1], n);  /* a point's x or a seed's a */
+            if (seed) {  /* x = (a^2 + d)/t */
+                u64 dn = reduce(par[0], n), a2 = mulmod(x, x, n);
+                x = mulmod(addmod(a2, dn, n), invmod(submod(a2, dn, n), n), n);
+            }
+            p = addmod(x, x, n);
+            q = 1;
         }
         mont_init(&grp.m[used], n);
         grp.p[used] = to_mont(p, &grp.m[used]);

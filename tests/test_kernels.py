@@ -42,6 +42,13 @@ def test_jacobi_parity():
 
 
 @PAIRED
+def test_compiled_jacobi_rejects_a_zero_modulus():
+    # the binary Jacobi loop never ends on an odd a over m = 0
+    with pytest.raises(ZeroDivisionError):
+        BACKENDS["compiled"].jacobi(3, 0)
+
+
+@PAIRED
 def test_lucas_uv_parity():
     pure, fast = BACKENDS["pure"], BACKENDS["compiled"]
     for n in _random_cases(60, 48):

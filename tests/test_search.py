@@ -642,6 +642,62 @@ def test_scan_ranks_follow_the_test():
                 assert backend_scan(name, kind, strong, params, 3, 4001) == expected, name
 
 
+# Each gate reads a constant of the search: Lucas D = P^2 - 4Q and Q; a
+# seed's a^2 - d, 2a and d; a point's x^2 - d y^2 - 1, y and d.  The
+# compiled scan steps n mod c' with n for the odd part c' of each, unless
+# c = 0 or c' >= 2^63.  Lucas (1, Q) has D = 1 - 4Q, a seed (d, 1) has
+# a^2 - d = 1 - d, and the point (m^2 + 1, 2m^2 + 1, 2m) is on the conic.
+GATE_CONSTANT_CASES = [
+    # zero: D = 0 (a raw pair, which LucasParams refuses), a^2 = d, a = 0, y = 0
+    ("lucas", (6, 9), 3, 401),
+    ("pell", PellParams.from_seed(9, 3), 3, 401),
+    ("pell", PellParams.from_seed(5, 0), 3, 401),
+    ("pell", PellParams.from_point(3, 5, 0), 3, 401),
+    ("pell", PellParams.from_point(2, -1, 0), 3, 401),
+    # negative or even: D = 8, D = -4 * 5, d = -2
+    ("lucas", LucasParams(2, -1), 3, 401),
+    ("lucas", LucasParams(2, 6), 3, 401),
+    ("pell", PellParams.from_seed(-2, 3), 3, 401),
+    ("pell", PellParams.from_point(-2, 3, 5), 3, 401),
+    # odd parts either side of 64: D = 61 and 65 (Q = -15, -16), d = 63 and 65
+    ("lucas", LucasParams(1, -15), 3, 401),
+    ("lucas", LucasParams(1, -16), 3, 401),
+    ("pell", PellParams.from_seed(63, 2), 3, 401),
+    ("pell", PellParams.from_point(65, 8, 1), 3, 401),
+    # crossed by one call of 2,100 odd n: D = 3001 and Q = -750; a^2 - d =
+    # -2995 and d = 2999; y = 2 * 3003 and d = 3003^2 + 1
+    ("lucas", LucasParams(1, -750), 3, 4201),
+    ("pell", PellParams.from_seed(2999, 2), 3, 4201),
+    ("pell", PellParams.from_point(3003**2 + 1, 2 * 3003**2 + 1, 2 * 3003), 3, 4201),
+] + [
+    # odd parts just below and just above 2^63: D = 2^63 - 3 and 2^63 + 1,
+    # a^2 - d = 2^63 - 1 and 2^63 + 1, at 3 and across n = 2^63 - 3, 2^63 - 1;
+    # and above 2^64, which a 64-bit word cannot hold: D = a^2 - d = 2^64 + 1
+    (kind, params, lo, hi)
+    for kind, params in (("lucas", LucasParams(1, 1 - 2**61)), ("lucas", LucasParams(1, -(2**61))),
+                         ("pell", PellParams.from_seed(2 - 2**63, 1)),
+                         ("pell", PellParams.from_seed(-(2**63), 1)),
+                         ("lucas", LucasParams(1, -(2**62))), ("pell", PellParams.from_seed(-1, 2**32)))
+    for lo, hi in ((3, 401), (2**63 - 201, 2**63 - 1))
+]
+
+
+@pytest.mark.parametrize("kind, params, lo, hi", GATE_CONSTANT_CASES)
+def test_scan_gate_constants_at_their_edges(kind, params, lo, hi):
+    for strong in (False, True):
+        expected = per_n_scan(kind, strong, params, lo, hi)
+        for name in BACKENDS:
+            assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
+
+
+def test_scan_of_a_zero_discriminant_skips_every_n():
+    # (P, Q) with P^2 = 4Q: (0/n) = 0 and gcd(0, n) = n for every n
+    for p, q in ((6, 9), (-2, 1), (2 * 3**19, 3**38)):
+        hits, skips, counts = kernels.scan("lucas", False, (p, q), 3, 4201)
+        assert skips == [(n, "jacobi-zero", n) for n in range(3, 4202, 2)]
+        assert (hits, tuple(counts)) == ([], (0, 0, 0, 2100))
+
+
 def test_scan_dispatch_either_side_of_the_compiled_limit():
     # hi and the parameters just inside the signed 64-bit range take the
     # compiled scan when it is built; one past it, the pure scan
