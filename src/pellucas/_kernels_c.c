@@ -45,33 +45,36 @@
  * its first tested n, the scan marks each window of SIEVE_WINDOW odd n
  * with the odd multiples m != p of each p, one bit for w(p) not dividing
  * m - 1 and one for m + 1, and when hi < 512^2 a third bit for a factor
- * below 512.  Every
- * odd composite below 512^2 has one, so there an unmarked tested n is
- * prime, with neither ladder nor Miller-Rabin; 512^2 = 262144 covers the
- * small-n range, 3..2*10^5.  The ranks come from the raw parameters mod p
- * by the recurrence, and are 0 (no rank bit) where the gates skip every
- * multiple of p.  A one-entry memo, keyed by the kind (Lucas, Pell seed
- * or point) and the raw parameters, keeps them from one call to the next,
- * so a search pays for them once.
+ * below 512.  Every odd composite below 512^2 has one, so there an
+ * unmarked tested n is prime, with neither ladder nor Miller-Rabin;
+ * 512^2 = 262144 covers the small-n range, 3..2*10^5.  The ranks come by
+ * the recurrence from test_pq's P and Q mod p, and are 0 (no rank bit)
+ * where the gates skip every multiple of p: where p divides a gate
+ * constant or the point is off the conic mod p.  A one-entry memo, keyed
+ * by the kind (Lucas, Pell seed or point) and the raw parameters, keeps
+ * them from one call to the next, so a search pays for them once.
  *
- * Each gate asks about an integer fixed for the whole search, modulo n:
- * for Lucas (D/n) with D = P^2 - 4Q, then gcd(Q, n); for a seed gcd(t, n)
- * with t = a^2 - d (phi defined), then gcd(y, n), which is gcd(2a, n)
- * once t is a unit, as y = 2a/t; for a point n | C with C = x^2 - d y^2 - 1
- * (on the conic), then gcd(y, n); for both Pell forms (d/n) last.  The
- * scan computes these constants once per call, in signed 128-bit
- * arithmetic, and reads them per n with no 64-bit division.  Of a
- * constant c = +-2^e c' with c' odd and below 2^63 it holds r = n mod c',
- * stepped by 2 with n; then gcd(c, n) = gcd(c', r), as n is odd, and by
- * quadratic reciprocity for the Jacobi symbol (Crandall and Pomerance,
- * Prime Numbers, 2.3) (c/n) = +-(r/c'), with the sign read from n mod 8,
- * c's sign, e and c' mod 4.  Where c' < 64, two masks built once per call
+ * A test is its P and Q, which test_pq gives mod any odd m, and the
+ * integers its gates read, fixed for the whole search.  In gate order: for
+ * Lucas (D/n) with D = P^2 - 4Q, then gcd(Q, n); for a seed gcd(t, n) with
+ * t = a^2 - d (phi defined), then gcd(2a, n), which is gcd(y, n) once t is
+ * a unit, as y = 2a/t, then (d/n); for a point n | x^2 - d y^2 - 1
+ * (on_conic), then gcd(y, n), then (d/n).  The scan computes these
+ * constants once per call, in signed 128-bit arithmetic (into c, and the
+ * conic's |x^2 - d y^2 - 1| by conic_size), and runs one chain of gates on
+ * them: the first that fails names the skip, and the Jacobi gate's symbol
+ * is eps.  It reads them per n with no 64-bit division.  Of a constant
+ * c = +-2^e c' with c' odd and below 2^63 it holds r = n mod c', stepped
+ * by 2 with n; then gcd(c, n) = gcd(c', r), as n is odd, and by quadratic
+ * reciprocity for the Jacobi symbol (Crandall and Pomerance, Prime
+ * Numbers, 2.3) (c/n) = +-(r/c'), with the sign read from n mod 8, c's
+ * sign, e and c' mod 4.  Where c' < 64, two masks built once per call
  * hold, for every r, whether gcd(r, c') = 1 and whether (r/c') = -1.
  * c = 0 and a c' of 2^63 or more are reduced mod each n instead, and
- * n | C fails outright for C != 0 and n > |C|.  P and Q mod
- * n, and a seed's x = (a^2 + d)/t with the inverse of t, are taken only
- * for an n that reaches a lane group: no gate reads them, and the sieve
- * decides most n first.
+ * n | x^2 - d y^2 - 1 fails outright where n exceeds its absolute value.
+ * P and Q mod n, with a seed's inverse of t, are taken only for an n that
+ * reaches a lane group: no gate reads them, and the sieve decides most n
+ * first.
  *
  * Build in place with:  python setup.py build_ext --inplace
  */
@@ -630,38 +633,37 @@ rank_of(u64 P, u64 Q, u64 p)
     return 0;
 }
 
-/* The rank of the odd prime p for a scan's test, the Lucas (P, Q) or the
- * Pell P = 2x, Q = 1 with D = 4 d y^2, from the raw parameters reduced mod
- * p.  0 where the gates skip every multiple of p: p | QD for Lucas; for
- * Pell phi undefined mod p, the point off the conic mod p, or p | yd. */
-static unsigned
-test_rank(int lucas, int seed, const long long *par, u64 p)
+/* P and Q of a scan's test mod the odd m: the Lucas (P, Q), or the Pell
+ * P = 2x, Q = 1, with a point's x or a seed's x = (a^2 + d)/(a^2 - d), for
+ * an m prime to a^2 - d. */
+static void
+test_pq(int lucas, int seed, const long long *par, u64 m, u64 *P, u64 *Q)
 {
-    u64 P, Q = 1;
+    u64 x = reduce(par[1], m);  /* Lucas Q, a seed's a or a point's x */
     if (lucas) {
-        P = reduce(par[0], p);
-        Q = reduce(par[1], p);
-        if (Q == 0 || mulmod(P, P, p) == mulmod(4, Q, p))
-            return 0;
-    } else {
-        u64 d = reduce(par[0], p), x, y;
-        if (seed) {
-            u64 a = reduce(par[1], p), t = submod(mulmod(a, a, p), d, p);
-            if (t == 0)
-                return 0;
-            u64 inv = invmod(t, p);
-            x = mulmod(addmod(mulmod(a, a, p), d, p), inv, p);
-            y = mulmod(addmod(a, a, p), inv, p);
-        } else {
-            x = reduce(par[1], p);
-            y = reduce(par[2], p);
-            if (submod(mulmod(x, x, p), mulmod(d, mulmod(y, y, p), p), p) != 1)
-                return 0;
-        }
-        if (y == 0 || d == 0)
-            return 0;
-        P = addmod(x, x, p);
+        *P = reduce(par[0], m);
+        *Q = x;
+        return;
     }
+    if (seed) {
+        u64 d = reduce(par[0], m), a2 = mulmod(x, x, m);
+        x = mulmod(addmod(a2, d, m), invmod(submod(a2, d, m), m), m);
+    }
+    *P = addmod(x, x, m);
+    *Q = 1;
+}
+
+/* The rank of the odd prime p for a scan's test, from test_pq's (P, Q)
+ * mod p.  0 where the gates skip every multiple of p: where p divides one
+ * of the gate constants c, or the point is off the conic mod p. */
+static unsigned
+test_rank(int lucas, int seed, const long long *par, const i128 *c, u128 conic, u64 p)
+{
+    u64 P, Q;
+    if (c[0] % (i128)p == 0 || c[1] % (i128)p == 0 || c[2] % (i128)p == 0 ||
+        !on_conic(par, conic, p))
+        return 0;
+    test_pq(lucas, seed, par, p, &P, &Q);
     return rank_of(P, Q, p);
 }
 
@@ -675,12 +677,13 @@ static struct {
 } rank_memo;
 
 static const unsigned short *
-test_ranks(int lucas, int seed, const long long *par)
+test_ranks(int lucas, int seed, const long long *par, const i128 *c, u128 conic)
 {
     if (!(rank_memo.filled && rank_memo.lucas == lucas && rank_memo.seed == seed &&
           memcmp(rank_memo.par, par, sizeof rank_memo.par) == 0)) {
         for (int j = 0; j < sieve_count; j++)
-            rank_memo.rank[j] = test_rank(lucas, seed, par, sieve_primes[j]);
+            rank_memo.rank[j] = (unsigned short)test_rank(lucas, seed, par, c, conic,
+                                                          sieve_primes[j]);
         rank_memo.filled = 1;
         rank_memo.lucas = lucas;
         rank_memo.seed = seed;
@@ -859,61 +862,40 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     /* count the odd n rather than step past hi, which may be 2**63 - 1 */
     u64 first = lo | 1;
     u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
-    const unsigned short *rank = test_ranks(lucas, seed, par);
+    /* the constants the gates read, in gate order (see the header); the
+     * slot a test does not use holds 1, which every n is prime to */
+    i128 c[3] = {lucas  ? (i128)par[0] * par[0] - 4 * (i128)par[1]
+                 : seed ? (i128)par[1] * par[1] - par[0] : 1,
+                 lucas ? par[1] : seed ? 2 * (i128)par[1] : par[2],
+                 lucas ? 1 : par[0]};
+    u128 conic = lucas || seed ? 0 : conic_size(par);
+    const unsigned short *rank = test_ranks(lucas, seed, par, c, conic);
     int exact = hi < (u64)SIEVE_BOUND * SIEVE_BOUND;
     unsigned char flags[SIEVE_WINDOW];
     u64 window = UINT64_MAX;  /* the window that flags holds */
-    /* the constants the gates read: Lucas D = P^2 - 4Q and Q; a seed's
-     * t = a^2 - d, 2a and d (gcd(y, n) = gcd(2a, n) once t is a unit, as
-     * y = 2a/t); a point's y and d, and |x^2 - d y^2 - 1| */
     constant k[3];
-    constant_init(&k[0], lucas  ? (i128)par[0] * par[0] - 4 * (i128)par[1]
-                         : seed ? (i128)par[1] * par[1] - par[0] : 0, first);
-    constant_init(&k[1], lucas ? par[1] : seed ? 2 * (i128)par[1] : par[2], first);
-    constant_init(&k[2], lucas ? 0 : par[0], first);
-    u128 conic = lucas || seed ? 0 : conic_size(par);
+    for (int j = 0; j < 3; j++)
+        constant_init(&k[j], c[j], first);
     for (u64 i = 0; i < count;
          i++, constant_step(&k[0]), constant_step(&k[1]), constant_step(&k[2])) {
-        u64 n = first + 2 * i, g, p, q;
-        int eps, sym;
-        if (lucas) {
-            g = constant_gcd(&k[0], n, &eps);
-            if (eps == 0) {
-                if (add_skip(skips, n, SKIP_JACOBI_ZERO, g) < 0)
-                    goto fail;
-                continue;
-            }
-            g = constant_gcd(&k[1], n, &sym);
-            if (g > 1) {
-                if (add_skip(skips, n, SKIP_GCD, g) < 0)
-                    goto fail;
-                continue;
-            }
-        } else {
-            if (seed) {
-                g = constant_gcd(&k[0], n, &sym);
-                if (g != 1) {
-                    if (add_skip(skips, n, SKIP_PHI_UNDEFINED, g) < 0)
-                        goto fail;
-                    continue;
-                }
-            } else if (!on_conic(par, conic, n)) {
-                if (add_skip(skips, n, SKIP_NOT_ON_CONIC, 0) < 0)
-                    goto fail;
-                continue;
-            }
-            g = constant_gcd(&k[1], n, &sym);
-            if (g > 1) {
-                if (add_skip(skips, n, SKIP_GCD, g) < 0)
-                    goto fail;
-                continue;
-            }
-            g = constant_gcd(&k[2], n, &eps);
-            if (eps == 0) {
-                if (add_skip(skips, n, SKIP_JACOBI_ZERO, g) < 0)
-                    goto fail;
-                continue;
-            }
+        u64 n = first + 2 * i, g = 0, p, q;
+        int code = SKIP_CODES, eps = 0, sym;
+        /* the gates in decide's order, the first that fails giving the
+         * skip; a point reaches the conic gate with no factor in g */
+        if (lucas && (g = constant_gcd(&k[0], n, &eps), eps == 0))
+            code = SKIP_JACOBI_ZERO;
+        else if (seed && (g = constant_gcd(&k[0], n, &sym)) > 1)
+            code = SKIP_PHI_UNDEFINED;
+        else if (!on_conic(par, conic, n))
+            code = SKIP_NOT_ON_CONIC;
+        else if ((g = constant_gcd(&k[1], n, &sym)) > 1)
+            code = SKIP_GCD;
+        else if (!lucas && (g = constant_gcd(&k[2], n, &eps), eps == 0))
+            code = SKIP_JACOBI_ZERO;
+        if (code < SKIP_CODES) {
+            if (add_skip(skips, n, code, g) < 0)
+                goto fail;
+            continue;
         }
         /* a window is sieved at its first tested n, so a sparse search,
          * whose gates skip almost every n, skips most windows whole */
@@ -921,7 +903,8 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             window = i / SIEVE_WINDOW;
             u64 start = window * SIEVE_WINDOW;
             sieve_window(rank, first + 2 * start,
-                         count - start < SIEVE_WINDOW ? count - start : SIEVE_WINDOW, exact, flags);
+                         (unsigned)(count - start < SIEVE_WINDOW ? count - start : SIEVE_WINDOW),
+                         exact, flags);
         }
         unsigned char bits = flags[i % SIEVE_WINDOW];
         /* a prime p | n with w(p) not dividing k = n - eps: U_k != 0 mod p */
@@ -934,18 +917,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             continue;
         }
         /* P and Q mod n, for the ladder only: no gate reads them */
-        if (lucas) {
-            p = reduce(par[0], n);
-            q = reduce(par[1], n);
-        } else {
-            u64 x = reduce(par[1], n);  /* a point's x or a seed's a */
-            if (seed) {  /* x = (a^2 + d)/t */
-                u64 dn = reduce(par[0], n), a2 = mulmod(x, x, n);
-                x = mulmod(addmod(a2, dn, n), invmod(submod(a2, dn, n), n), n);
-            }
-            p = addmod(x, x, n);
-            q = 1;
-        }
+        test_pq(lucas, seed, par, n, &p, &q);
         mont_init(&grp.m[used], n);
         grp.p[used] = to_mont(p, &grp.m[used]);
         grp.q[used] = to_mont(q, &grp.m[used]);

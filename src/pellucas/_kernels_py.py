@@ -148,11 +148,18 @@ def decide(kind, strong, params, ns, backend):
     and ``is_prime``.  ``kind`` is "lucas" with a ``LucasParams`` (P, Q)
     or "pell" with a ``PellParams`` (d, x, y, a); any other kind raises
     ``ValueError``, and a record of another length ``TypeError``, as in
-    the C scan.  The parameters are any integers, reduced mod each n.
-    Gates, in order: for Lucas, (D/n) = 0, then gcd(Q, n) > 1; for Pell,
-    phi undefined for a seed (its image is always on the conic) or a point
-    off the conic, then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes
-    into ``skips`` as ``Skip(n, reason, factor or None)``.
+    the C scan.  The parameters are any integers.
+
+    The gates read constants fixed for the call, computed once, as the C
+    scan's one gate chain does, in the same order: for Lucas (D/n) = 0
+    with D = P^2 - 4Q, then gcd(Q, n) > 1; for a seed gcd(t, n) > 1 with
+    t = a^2 - d (phi undefined; its image is always on the conic), then
+    gcd(2a, n) > 1, which is gcd(y, n) once t is a unit, as y = 2a/t, then
+    (d/n) = 0; for a point n not dividing x^2 - d y^2 - 1 (off the conic),
+    then gcd(y, n) > 1, then (d/n) = 0.  A gated n goes into ``skips`` as
+    ``Skip(n, reason, factor or None)``.  The symbol is ``backend.jacobi``
+    on the constant mod n, and P, Q and a seed's x = (a^2 + d)/t mod n are
+    taken only for a tested n.
 
     Any other n runs the Lucas core for k = n - (D/n), Pell with P = 2x,
     Q = 1, where (x, y)^k = (V_k/2, y U_k).  The congruence holds iff
@@ -171,49 +178,56 @@ def decide(kind, strong, params, ns, backend):
     want = 2 if lucas else 4
     if len(params) != want:  # the other kind's record, say
         raise TypeError(f"a {kind} test needs {want} parameters, got {len(params)}")
+    # the constants the gates read, once per call, as in the C scan
     if lucas:
         P, Q = params
+        D = P * P - 4 * Q
     else:
         d, x0, y0, a0 = params
+        seed = a0 is not None
+        if seed:
+            t, two_a = a0 * a0 - d, 2 * a0
+        else:
+            C = x0 * x0 - d * y0 * y0 - 1
     skips = []
     tested = []
     for n in ns:
         if lucas:
-            p, q = P % n, Q % n
-            dn = (p * p - 4 * q) % n
+            dn = D % n
             eps = backend.jacobi(dn, n)
             if eps == 0:
                 skips.append(_tuple_new(Skip, (n, REASON_JACOBI_ZERO, gcd(dn, n))))
                 continue
-            g = gcd(q, n)
+            g = gcd(Q, n)
             if g > 1:
                 skips.append(_tuple_new(Skip, (n, REASON_GCD, g)))
                 continue
+            p, q = P % n, Q % n
             w = p
         else:
-            dn = d % n
-            if a0 is not None:
-                a = a0 % n
-                t = (a * a - dn) % n
+            if seed:
                 g = gcd(t, n)
-                if g != 1:
+                if g > 1:
                     skips.append(_tuple_new(Skip, (n, REASON_PHI_UNDEFINED, g)))
                     continue
-                inv = pow(t, -1, n)
-                x, y = (a * a + dn) * inv % n, 2 * a * inv % n
-            else:
-                x, y = x0 % n, y0 % n
-                if (x * x - dn * y * y) % n != 1:
-                    skips.append(_tuple_new(Skip, (n, REASON_NOT_ON_CONIC, None)))
-                    continue
-            g = gcd(y, n)
+            elif C % n:
+                skips.append(_tuple_new(Skip, (n, REASON_NOT_ON_CONIC, None)))
+                continue
+            # gcd(y, n): a seed's y = 2a/t, with t a unit past phi's gate
+            g = gcd(two_a if seed else y0, n)
             if g > 1:
                 skips.append(_tuple_new(Skip, (n, REASON_GCD, g)))
                 continue
+            dn = d % n
             eps = backend.jacobi(dn, n)
             if eps == 0:
                 skips.append(_tuple_new(Skip, (n, REASON_JACOBI_ZERO, gcd(dn, n))))
                 continue
+            if seed:
+                inv = pow(t, -1, n)
+                x, y = (a0 * a0 + d) * inv % n, two_a * inv % n
+            else:
+                x, y = x0 % n, y0 % n
             p, q, w = 2 * x % n, 1, y
         k = n - eps
         u, v = backend.lucas_uv(p, q, k, n)

@@ -17,10 +17,12 @@ counters cannot overflow.
 
 ``jacobi``, ``lucas_uv`` and ``pell_pow`` take any integers and reduce
 them mod n here, so both backends see residues in ``[0, n)``.  ``scan``
-passes its parameters on as they are, and each scan reduces them mod every
-n itself; a caller of ``backend_for`` reduces its own residues, as
-``_kernels_py.decide`` does.  Both scans return their skips as
-``_kernels_py.Skip`` rows ``(n, reason, factor)``.
+passes its parameters on as they are: each scan computes its gates'
+constants from them once per call and reads those mod every n, and
+reduces P and Q mod an n only where it runs the Lucas core.  A caller of
+``backend_for`` reduces its own residues, as ``_kernels_py.decide`` does.
+Both scans return their skips as ``_kernels_py.Skip`` rows
+``(n, reason, factor)``.
 """
 
 from . import _kernels_py as _py

@@ -669,6 +669,14 @@ GATE_CONSTANT_CASES = [
     ("lucas", LucasParams(1, -750), 3, 4201),
     ("pell", PellParams.from_seed(2999, 2), 3, 4201),
     ("pell", PellParams.from_point(3003**2 + 1, 2 * 3003**2 + 1, 2 * 3003), 3, 4201),
+    # two gates fail on one n, so the first in gate order names the skip:
+    # D = -51 and Q = 15 (n = 15 jacobi-zero 3, n = 35 gcd-failure 5);
+    # a^2 - d = 18, 2a = 10 and d = 7 (n = 15 and 45 parametrization-undefined
+    # 3 and 9, n = 35 gcd-failure 5); y = 72 and d = 5 on 161^2 - 5 * 72^2 = 1
+    # (n = 15 gcd-failure 3, n = 35 jacobi-zero 5)
+    ("lucas", LucasParams(3, 15), 3, 401),
+    ("pell", PellParams.from_seed(7, 5), 3, 401),
+    ("pell", PellParams.from_point(5, 161, 72), 3, 401),
 ] + [
     # odd parts just below and just above 2^63: D = 2^63 - 3 and 2^63 + 1,
     # a^2 - d = 2^63 - 1 and 2^63 + 1, at 3 and across n = 2^63 - 3, 2^63 - 1;
