@@ -9,8 +9,9 @@ seed or Pell point), strong or not, parameters small, signed 64-bit or set
 to make a gate's constant zero, negative, even or just either side of
 2^63, and a window at 3, 512^2 +- 2,000, 2^32, 10^12 or 2^63 - 5,000 of
 1 to 2,200 odd n.  The compiled ``scan`` must return exactly what
-``_kernels_py.scan`` returns.  A failure names its case, which reproduces
-with one call of each scan.
+``_kernels_py.scan`` returns, in each of its shapes (the skip rows, the
+skips per reason and their JSON text).  A failure names its case, which
+reproduces with one call of each scan.
 """
 
 import random
@@ -93,6 +94,7 @@ def test_compiled_scan_matches_pure_scan(chunk):
     for _ in range(SCANS_PER_CHUNK):
         kind, draw = rng.choice(FORMS)
         params, strong, (lo, hi) = draw(rng), rng.random() < 0.5, window(rng)
-        case = f"scan({kind!r}, {strong}, {params}, {lo}, {hi})"
-        hits, skips, counts = compiled.scan(kind, strong, params, lo, hi)
-        assert (hits, skips, tuple(counts)) == _kernels_py.scan(kind, strong, params, lo, hi), case
+        for keep in ("rows", "reasons", "json"):
+            case = f"scan({kind!r}, {strong}, {params}, {lo}, {hi}, {keep!r})"
+            expected = _kernels_py.scan(kind, strong, params, lo, hi, keep)
+            assert compiled.scan(kind, strong, params, lo, hi, keep) == expected, case

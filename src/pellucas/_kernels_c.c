@@ -28,8 +28,13 @@
  * Primality is asked lazily, as in decide: only where U_k = 0, since a
  * prime that passes the gates always has U_k = 0.  Miller-Rabin takes the
  * bases that n's size needs (_kernels_py.MR_BATTERY) and runs them in
- * lockstep too.  Its skips are rows of _kernels_py's Skip namedtuple, with
- * the reason strings that module defines; the module init fetches both.
+ * lockstep too.  Of the skips, scan keeps what its caller keeps (see
+ * kernels.scan): Skip rows, counts per reason in _kernels_py.REASONS order,
+ * or JSON list items as one str; the module init fetches Skip and REASONS,
+ * so the reasons are written once.  Per window of SIEVE_WINDOW odd n, the
+ * gates run with the GIL held and the tested n (sieve, lanes, Miller-Rabin)
+ * without it, into a C buffer of hits, so threads run those in parallel; a
+ * window with no tested n keeps the GIL, as a handover would cost more.
  *
  * A sieve by the odd primes p below SIEVE_BOUND = 512 decides most tested
  * n before the ladder.  The lemma (Baillie and Wagstaff, "Lucas
@@ -732,14 +737,42 @@ sieve_window(const unsigned short *rank, u64 w0, unsigned width, int exact,
 }
 
 enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC, SKIP_CODES };
+/* What scan keeps of its skips: Skip rows, counts per skip code, or JSON text. */
+enum { KEEP_ROWS, KEEP_REASONS, KEEP_JSON, KEEPS };
 
-/* _kernels_py.Skip and the reason of each skip code, set by the module
- * init and held for the life of the process. */
+/* _kernels_py.Skip and its REASONS, one per skip code, set by the module
+ * init and held for the life of the process; with each reason's text, for
+ * the JSON writer, and the most bytes that writer puts for one skip. */
 static PyTypeObject *skip_type;
-static PyObject *skip_reasons[SKIP_CODES];
-static const char *const SKIP_REASON_NAMES[SKIP_CODES] = {
-    "REASON_JACOBI_ZERO", "REASON_GCD", "REASON_PHI_UNDEFINED", "REASON_NOT_ON_CONIC",
-};
+static PyObject *skip_reasons;
+static const char *reason_text[SKIP_CODES];
+static size_t reason_len[SKIP_CODES], json_item_max;
+
+/* Copy len bytes to out, or a string literal; each gives the end. */
+#define PUT_BYTES(out, bytes, len) ((char *)memcpy(out, bytes, len) + (len))
+#define PUT(out, literal) PUT_BYTES(out, literal, sizeof literal - 1)
+
+static char *
+put_u64(char *out, u64 v)
+{
+    char digits[20], *d = digits + 20;
+    do
+        *--d = (char)('0' + v % 10);
+    while (v /= 10);
+    return PUT_BYTES(out, d, (size_t)(digits + 20 - d));
+}
+
+/* Write a skip as a JSON list item after ", ", with json.dumps's bytes (a
+ * reason is a plain ASCII word); factor 0 stands for null. */
+static char *
+put_json_item(char *out, u64 n, int code, u64 factor)
+{
+    out = put_u64(PUT(out, ", {\"n\": "), n);
+    out = PUT_BYTES(PUT(out, ", \"reason\": \""), reason_text[code], reason_len[code]);
+    out = PUT(out, "\", \"factor\": ");
+    out = factor ? put_u64(out, factor) : PUT(out, "null");
+    return PUT(out, "}");
+}
 
 /* Append Skip(n, reason, factor) to skips; factor 0 stands for None.  The
  * row is allocated as the tuple subclass it is, after its items, as
@@ -756,7 +789,7 @@ add_skip(PyObject *skips, u64 n, int code, u64 factor)
         return -1;
     }
     PyTuple_SET_ITEM(row, 0, pn);
-    PyTuple_SET_ITEM(row, 1, Py_NewRef(skip_reasons[code]));
+    PyTuple_SET_ITEM(row, 1, Py_NewRef(PyTuple_GET_ITEM(skip_reasons, code)));
     PyTuple_SET_ITEM(row, 2, pf);
     /* an int, a str and an int or None: the row can be in no cycle, so it
      * leaves the collector, as a plain tuple of atoms does at its first
@@ -770,9 +803,9 @@ add_skip(PyObject *skips, u64 n, int code, u64 factor)
 
 /* Decide the first `used` lanes of g, in n order, and pad the rest with
  * copies of lane 0: count each prime and each detected composite, and
- * append each pseudoprime to hits; -1 with an exception set. */
-static int
-decide_group(group *g, int used, int strong, PyObject *hits,
+ * add each pseudoprime to hit[*hits]. */
+static void
+decide_group(group *g, int used, int strong, u64 *hit, unsigned *hits,
              unsigned long long *primes, unsigned long long *detected)
 {
     u64 v[LANES], v1[LANES];
@@ -793,32 +826,42 @@ decide_group(group *g, int used, int strong, PyObject *hits,
             (*detected)++;
         else if (is_prime_mont(m, 0))
             (*primes)++;
-        else if (!strong || v[l] == addmod(m->one, m->one, n)) {
-            PyObject *hit = PyLong_FromUnsignedLongLong(n);
-            int rc = hit ? PyList_Append(hits, hit) : -1;
-            Py_XDECREF(hit);
-            if (rc < 0)
-                return -1;
-        } else
+        else if (!strong || v[l] == addmod(m->one, m->one, n))
+            hit[(*hits)++] = n;
+        else
             (*detected)++;
     }
-    return 0;
+}
+
+/* obj's index among the names; -1 for any other object, also a non-str */
+static int
+name_index(PyObject *obj, const char *const *names, int count)
+{
+    for (int j = 0; PyUnicode_Check(obj) && j < count; j++)
+        if (PyUnicode_CompareWithASCIIString(obj, names[j]) == 0)
+            return j;
+    return -1;
 }
 
 static PyObject *
 scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    static const char *const kinds[] = {"lucas", "pell"}, *const keeps[] = {"rows", "reasons",
+                                                                            "json"};
     long long par[3] = {0, 0, 0};
     u64 lo, hi;
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "scan() takes 5 arguments (%zd given)", nargs);
+    if (nargs != 5 && nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "scan() takes 5 or 6 arguments (%zd given)", nargs);
         return NULL;
     }
-    /* PyUnicode_CompareWithASCIIString reads any object as a str */
-    int is_str = PyUnicode_Check(args[0]);
-    int lucas = is_str && PyUnicode_CompareWithASCIIString(args[0], "lucas") == 0;
-    if (!lucas && !(is_str && PyUnicode_CompareWithASCIIString(args[0], "pell") == 0)) {
+    int lucas = name_index(args[0], kinds, 2) == 0;
+    if (!lucas && name_index(args[0], kinds, 2) < 0) {
         PyErr_Format(PyExc_ValueError, "kind must be 'lucas' or 'pell', got %R", args[0]);
+        return NULL;
+    }
+    int keep = nargs == 6 ? name_index(args[5], keeps, KEEPS) : KEEP_ROWS;
+    if (keep < 0) {
+        PyErr_Format(PyExc_ValueError, "keep must be 'rows', 'reasons' or 'json', got %R", args[5]);
         return NULL;
     }
     int strong = PyObject_IsTrue(args[1]);
@@ -853,12 +896,12 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
 
-    PyObject *hits = PyList_New(0), *skips = PyList_New(0);
-    unsigned long long primes = 0, detected = 0;
-    group grp;
-    int used = 0;  /* the lanes of grp filled so far */
+    PyObject *hits = PyList_New(0), *skips = PyList_New(0), *rest, *result = NULL;
+    unsigned long long primes = 0, detected = 0, reasons[SKIP_CODES] = {0};
+    char *json = NULL;  /* the JSON text: len bytes */
+    size_t len = 0;
     if (hits == NULL || skips == NULL)
-        goto fail;
+        goto done;
     /* count the odd n rather than step past hi, which may be 2**63 - 1 */
     u64 first = lo | 1;
     u64 count = hi >= first ? (hi - first) / 2 + 1 : 0;
@@ -869,73 +912,110 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                  lucas ? par[1] : seed ? 2 * (i128)par[1] : par[2],
                  lucas ? 1 : par[0]};
     u128 conic = lucas || seed ? 0 : conic_size(par);
-    const unsigned short *rank = test_ranks(lucas, seed, par, c, conic);
+    unsigned short rank[SIEVE_BOUND / 2];  /* a copy: the memo is safe only under the GIL */
+    memcpy(rank, test_ranks(lucas, seed, par, c, conic), sizeof rank);
     int exact = hi < (u64)SIEVE_BOUND * SIEVE_BOUND;
-    unsigned char flags[SIEVE_WINDOW];
-    u64 window = UINT64_MAX;  /* the window that flags holds */
     constant k[3];
     for (int j = 0; j < 3; j++)
         constant_init(&k[j], c[j], first);
-    for (u64 i = 0; i < count;
-         i++, constant_step(&k[0]), constant_step(&k[1]), constant_step(&k[2])) {
-        u64 n = first + 2 * i, g = 0, p, q;
-        int code = SKIP_CODES, eps = 0, sym;
-        /* the gates in decide's order, the first that fails giving the
-         * skip; a point reaches the conic gate with no factor in g */
-        if (lucas && (g = constant_gcd(&k[0], n, &eps), eps == 0))
-            code = SKIP_JACOBI_ZERO;
-        else if (seed && (g = constant_gcd(&k[0], n, &sym)) > 1)
-            code = SKIP_PHI_UNDEFINED;
-        else if (!on_conic(par, conic, n))
-            code = SKIP_NOT_ON_CONIC;
-        else if ((g = constant_gcd(&k[1], n, &sym)) > 1)
-            code = SKIP_GCD;
-        else if (!lucas && (g = constant_gcd(&k[2], n, &eps), eps == 0))
-            code = SKIP_JACOBI_ZERO;
-        if (code < SKIP_CODES) {
-            if (add_skip(skips, n, code, g) < 0)
-                goto fail;
+    /* a window's tested n, each as its offset in the window and the sign
+     * of eps (2 offset + 1 for eps = 1), and its hits */
+    unsigned short test[SIEVE_WINDOW];
+    u64 hit[SIEVE_WINDOW];
+    for (u64 start = 0; start < count; start += SIEVE_WINDOW) {
+        u64 end = count - start < SIEVE_WINDOW ? count : start + SIEVE_WINDOW;
+        unsigned tested = 0, window_hits = 0;
+        if (keep == KEEP_JSON) {
+            char *grown = PyMem_Realloc(json, len + (end - start) * json_item_max);
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            json = grown;
+        }
+        for (u64 i = start; i < end;
+             i++, constant_step(&k[0]), constant_step(&k[1]), constant_step(&k[2])) {
+            u64 n = first + 2 * i, g = 0;
+            int code = SKIP_CODES, eps = 0, sym;
+            /* the gates in decide's order, the first that fails giving the
+             * skip; a point reaches the conic gate with no factor in g */
+            if (lucas && (g = constant_gcd(&k[0], n, &eps), eps == 0))
+                code = SKIP_JACOBI_ZERO;
+            else if (seed && (g = constant_gcd(&k[0], n, &sym)) > 1)
+                code = SKIP_PHI_UNDEFINED;
+            else if (!on_conic(par, conic, n))
+                code = SKIP_NOT_ON_CONIC;
+            else if ((g = constant_gcd(&k[1], n, &sym)) > 1)
+                code = SKIP_GCD;
+            else if (!lucas && (g = constant_gcd(&k[2], n, &eps), eps == 0))
+                code = SKIP_JACOBI_ZERO;
+            if (code == SKIP_CODES)
+                test[tested++] = (unsigned short)(2 * (i - start) + (eps > 0));
+            else if (keep == KEEP_JSON)
+                len = (size_t)(put_json_item(json + len, n, code, g) - json);
+            else if (keep == KEEP_REASONS)
+                reasons[code]++;
+            else if (add_skip(skips, n, code, g) < 0)
+                goto done;
+        }
+        /* the sieve, lanes and Miller-Rabin of the tested n touch no Python
+         * object; a sparse search, whose gates skip almost every n, skips
+         * most windows whole */
+        if (tested == 0)
             continue;
+        Py_BEGIN_ALLOW_THREADS
+        unsigned char flags[SIEVE_WINDOW];
+        group grp;
+        int used = 0;  /* the lanes of grp filled so far */
+        sieve_window(rank, first + 2 * start, (unsigned)(end - start), exact, flags);
+        for (unsigned j = 0; j < tested; j++) {
+            unsigned bits = flags[test[j] >> 1], plus = test[j] & 1;
+            u64 n = first + 2 * (start + (test[j] >> 1)), p, q;
+            /* a prime p | n with w(p) not dividing k = n - eps: U_k != 0 mod p */
+            if (bits & (plus ? RANK_NDIV_MINUS : RANK_NDIV_PLUS)) {
+                detected++;
+                continue;
+            }
+            if (exact && !(bits & SMALL_FACTOR)) {
+                primes++;
+                continue;
+            }
+            /* P and Q mod n, for the ladder only: no gate reads them */
+            test_pq(lucas, seed, par, n, &p, &q);
+            mont_init(&grp.m[used], n);
+            grp.p[used] = to_mont(p, &grp.m[used]);
+            grp.q[used] = to_mont(q, &grp.m[used]);
+            grp.k[used] = plus ? n - 1 : n + 1;
+            if (++used == LANES) {
+                decide_group(&grp, used, strong, hit, &window_hits, &primes, &detected);
+                used = 0;
+            }
         }
-        /* a window is sieved at its first tested n, so a sparse search,
-         * whose gates skip almost every n, skips most windows whole */
-        if (i / SIEVE_WINDOW != window) {
-            window = i / SIEVE_WINDOW;
-            u64 start = window * SIEVE_WINDOW;
-            sieve_window(rank, first + 2 * start,
-                         (unsigned)(count - start < SIEVE_WINDOW ? count - start : SIEVE_WINDOW),
-                         exact, flags);
-        }
-        unsigned char bits = flags[i % SIEVE_WINDOW];
-        /* a prime p | n with w(p) not dividing k = n - eps: U_k != 0 mod p */
-        if (bits & (eps > 0 ? RANK_NDIV_MINUS : RANK_NDIV_PLUS)) {
-            detected++;
-            continue;
-        }
-        if (exact && !(bits & SMALL_FACTOR)) {
-            primes++;
-            continue;
-        }
-        /* P and Q mod n, for the ladder only: no gate reads them */
-        test_pq(lucas, seed, par, n, &p, &q);
-        mont_init(&grp.m[used], n);
-        grp.p[used] = to_mont(p, &grp.m[used]);
-        grp.q[used] = to_mont(q, &grp.m[used]);
-        grp.k[used] = eps > 0 ? n - 1 : n + 1;
-        if (++used == LANES) {
-            if (decide_group(&grp, used, strong, hits, &primes, &detected) < 0)
-                goto fail;
-            used = 0;
+        if (used > 0)
+            decide_group(&grp, used, strong, hit, &window_hits, &primes, &detected);
+        Py_END_ALLOW_THREADS
+        for (unsigned j = 0; j < window_hits; j++) {
+            PyObject *item = PyLong_FromUnsignedLongLong(hit[j]);
+            int rc = item ? PyList_Append(hits, item) : -1;
+            Py_XDECREF(item);
+            if (rc < 0)
+                goto done;
         }
     }
-    if (used > 0 && decide_group(&grp, used, strong, hits, &primes, &detected) < 0)
-        goto fail;
-    return Py_BuildValue("(NN(KnKn))", hits, skips, primes, PyList_GET_SIZE(hits),
-                         detected, PyList_GET_SIZE(skips));
-fail:
+    unsigned long long *r = reasons;
+    rest = keep == KEEP_ROWS      ? Py_NewRef(skips)
+           : keep == KEEP_REASONS ? Py_BuildValue("(KKKK)", r[0], r[1], r[2], r[3])
+                                  : PyUnicode_FromStringAndSize(json ? json : "", (Py_ssize_t)len);
+    /* every n the gates did not skip was counted as prime, hit or detected */
+    u64 pseudo = (u64)PyList_GET_SIZE(hits);
+    if (rest != NULL)
+        result = Py_BuildValue("(ON(KKKK))", hits, rest, primes, pseudo, detected,
+                               count - primes - pseudo - detected);
+done:
     Py_XDECREF(hits);
     Py_XDECREF(skips);
-    return NULL;
+    PyMem_Free(json);
+    return result;
 }
 
 static PyObject *
@@ -1012,9 +1092,9 @@ static PyMethodDef methods[] = {
     {"is_prime", (PyCFunction)(void (*)(void))is_prime, METH_FASTCALL,
      "is_prime(n): deterministic primality for n < 2**63; see the pure backend."},
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
-     "scan(kind, strong, params, lo, hi): the \"lucas\" or \"pell\" test of a params\n"
-     "record over every odd n in [lo, hi], for hi < 2**63 and parameters in signed\n"
-     "64-bit range; returns (hits, skips, counts); see kernels.scan."},
+     "scan(kind, strong, params, lo, hi, keep=\"rows\"): the \"lucas\" or \"pell\" test of\n"
+     "a params record over every odd n in [lo, hi], for hi < 2**63 and parameters in\n"
+     "signed 64-bit range; returns (hits, rest, counts); see kernels.scan."},
     {"closed_form_sweep", (PyCFunction)(void (*)(void))closed_form_sweep, METH_FASTCALL,
      "closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10): bulk\n"
      "power-vs-closed-form comparison; see the pure backend."},
@@ -1029,28 +1109,36 @@ static struct PyModuleDef module = {
     .m_methods = methods,
 };
 
-/* Fetch Skip and the skip reasons from _kernels_py; -1 with an exception set. */
+/* Fetch Skip and REASONS from _kernels_py; -1 with an exception set. */
 static int
 load_skip(void)
 {
     PyObject *py = PyImport_ImportModule("pellucas._kernels_py");
     if (py == NULL)
         return -1;
-    PyObject *type = PyObject_GetAttrString(py, "Skip");
-    if (type != NULL && !(PyType_Check(type) &&
-                          PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type))) {
-        PyErr_SetString(PyExc_TypeError, "_kernels_py.Skip must be a tuple subclass");
-        Py_CLEAR(type);
-    }
-    Py_XSETREF(skip_type, (PyTypeObject *)type);
-    int rc = type != NULL ? 0 : -1;
-    for (int code = 0; rc == 0 && code < SKIP_CODES; code++) {
-        Py_XSETREF(skip_reasons[code], PyObject_GetAttrString(py, SKIP_REASON_NAMES[code]));
-        if (skip_reasons[code] == NULL)
-            rc = -1;
-    }
+    Py_XSETREF(skip_type, (PyTypeObject *)PyObject_GetAttrString(py, "Skip"));
+    Py_XSETREF(skip_reasons, PyObject_GetAttrString(py, "REASONS"));
     Py_DECREF(py);
-    return rc;
+    if (skip_type == NULL || skip_reasons == NULL)
+        return -1;
+    if (!(PyType_Check(skip_type) && PyType_IsSubtype(skip_type, &PyTuple_Type) &&
+          PyTuple_Check(skip_reasons) && PyTuple_GET_SIZE(skip_reasons) == SKIP_CODES)) {
+        PyErr_SetString(PyExc_TypeError, "_kernels_py needs a tuple subclass Skip and 4 REASONS");
+        return -1;
+    }
+    /* n and the factor have at most 20 digits each */
+    json_item_max = sizeof ", {\"n\": , \"reason\": \"\", \"factor\": }" - 1 + 2 * 20;
+    size_t fixed = json_item_max;
+    for (int code = 0; code < SKIP_CODES; code++) {
+        Py_ssize_t len;
+        reason_text[code] = PyUnicode_AsUTF8AndSize(PyTuple_GET_ITEM(skip_reasons, code), &len);
+        if (reason_text[code] == NULL)
+            return -1;
+        reason_len[code] = (size_t)len;
+        if (json_item_max < fixed + reason_len[code])
+            json_item_max = fixed + reason_len[code];
+    }
+    return 0;
 }
 
 PyMODINIT_FUNC

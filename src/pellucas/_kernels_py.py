@@ -13,7 +13,7 @@ modulus ``n >= 3`` unless noted otherwise.
 """
 
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from math import gcd
 
 BACKEND = "pure"
@@ -46,6 +46,8 @@ REASON_JACOBI_ZERO = "jacobi-zero"
 REASON_GCD = "gcd-failure"
 REASON_PHI_UNDEFINED = "parametrization-undefined"
 REASON_NOT_ON_CONIC = "point-not-on-conic"
+# The order of a scan's counts per reason, and of the C scan's skip codes.
+REASONS = (REASON_JACOBI_ZERO, REASON_GCD, REASON_PHI_UNDEFINED, REASON_NOT_ON_CONIC)
 # Outcomes of a tested n: indices into ``verdict.Status`` (NotApplicable is a skip).
 PRIME, PSEUDOPRIME, DETECTED = range(3)
 
@@ -241,17 +243,30 @@ def decide(kind, strong, params, ns, backend):
     return skips, tested
 
 
-def scan(kind, strong, params, lo, hi):
+def scan(kind, strong, params, lo, hi, keep="rows"):
     """Run one test on every odd n in [lo, hi] (the fused block scan).
 
     Collects ``decide`` on the pure kernels: the Pseudoprime n, the skips
-    and the Prime, Pseudoprime, CompositeDetected and NotApplicable counts.
+    as ``keep`` asks (``Skip`` "rows", their number per reason in ``REASONS``
+    order, or "json" list items, each after ", " with ``json.dumps``'s
+    bytes), and the Prime, Pseudoprime, CompositeDetected and NotApplicable
+    counts.
     """
+    if keep not in ("rows", "reasons", "json"):
+        raise ValueError(f"keep must be 'rows', 'reasons' or 'json', got {keep!r}")
     skips, tested = decide(kind, strong, params, range(lo | 1, hi + 1, 2), sys.modules[__name__])
     counts = [0, 0, 0, len(skips)]
     for row in tested:
         counts[row[1]] += 1
     hits = [row[0] for row in tested if row[1] == PSEUDOPRIME]
+    if keep == "reasons":
+        tally = Counter(row[1] for row in skips)
+        skips = tuple(tally[reason] for reason in REASONS)
+    elif keep == "json":
+        skips = "".join([
+            f', {{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
+            for n, reason, factor in skips
+        ])
     return hits, skips, tuple(counts)
 
 

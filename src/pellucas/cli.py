@@ -21,9 +21,9 @@ import shutil
 import sys
 import tempfile
 from collections import Counter
-from operator import itemgetter
 
 from . import __version__
+from ._kernels_py import REASONS
 from .bridge import from_pell, roundtrip
 from .conic import ConicPoint, PellParams, pell_test, strong_pell_test
 from .fixtures import KINDS, reproduce
@@ -118,7 +118,7 @@ def cmd_enumerate(parser, args):
         # the skips go to a spool as text, block by block, and from there
         # into the record between its head and its counts
         with tempfile.TemporaryFile("w+") as spool:
-            hits, counts = merge(iter_blocks(spec, args.workers, _tally_json), spool.write)
+            hits, counts = merge(iter_blocks(spec, args.workers, "json"), spool.write)
             head = _record(
                 "enumerate",
                 kind=args.kind,
@@ -135,13 +135,15 @@ def cmd_enumerate(parser, args):
             sys.stdout.write("], " + tail[1:] + "\n")
         return 0
     if args.format == "csv":
-        hits, _ = merge(iter_blocks(spec, args.workers, _tally))
+        # CSV keeps no skip: their counts are the shape that costs least
+        hits, _ = merge(iter_blocks(spec, args.workers, "reasons"))
         # the header is printed even when there are no hits
         row = _record("enumerate", kind=args.kind, **shown, n=None)
         _print_csv([dict(row, n=n) for n in hits], columns=list(row))
         return 0
     reasons = Counter()
-    hits, counts = merge(iter_blocks(spec, args.workers, _tally_reasons), reasons.update)
+    hits, counts = merge(iter_blocks(spec, args.workers, "reasons"),
+                         lambda part: reasons.update(dict(zip(REASONS, part))))
     lines = [
         f"{args.kind} pseudoprimes in [{args.lo}, {args.to}] "
         + " ".join(f"{k}={v}" for k, v in shown.items())
@@ -149,38 +151,11 @@ def cmd_enumerate(parser, args):
         "  " + (", ".join(map(str, hits)) or "(none)"),
         "counts: " + " ".join(f"{k}={v}" for k, v in counts.items()),
     ]
-    if reasons:
-        lines.append(
-            "skipped: " + " ".join(f"{k}={v}" for k, v in sorted(reasons.items()))
-        )
+    skipped = sorted(item for item in reasons.items() if item[1])
+    if skipped:
+        lines.append("skipped: " + " ".join(f"{k}={v}" for k, v in skipped))
     print("\n".join(lines))
     return 0
-
-
-def _tally(block):
-    """Render hook for CSV: the block as ``(hits, rest, counts)``, keeping no skips in ``rest``."""
-    hits, _, counts = block
-    return hits, None, counts
-
-
-def _tally_reasons(block):
-    """Render hook for the table: ``_tally``, with the block's skips counted per reason."""
-    hits, skips, counts = block
-    return hits, Counter(map(itemgetter(1), skips)), counts
-
-
-def _tally_json(block):
-    """Render hook for JSONL: ``_tally``, with the block's skips as JSON list items.
-
-    Each item has json.dumps's bytes, a skip reason being a plain ASCII
-    word, which JSON writes as it is, and each comes after a ", ".
-    """
-    hits, skips, counts = block
-    text = "".join([
-        f', {{"n": {n}, "reason": "{reason}", "factor": {"null" if factor is None else factor}}}'
-        for n, reason, factor in skips
-    ])
-    return hits, text, counts
 
 
 def cmd_bridge(parser, args):
@@ -347,7 +322,7 @@ def console_main():
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 128 + 13
     except KeyboardInterrupt:
-        # Ctrl-C: a search has reaped its workers by now; exit as SIGINT would
+        # Ctrl-C: a search has joined its worker threads by now; exit as SIGINT would
         code = 128 + 2
     sys.exit(code)
 

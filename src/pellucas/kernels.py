@@ -21,8 +21,8 @@ passes its parameters on as they are: each scan computes its gates'
 constants from them once per call and reads those mod every n, and
 reduces P and Q mod an n only where it runs the Lucas core.  A caller of
 ``backend_for`` reduces its own residues, as ``_kernels_py.decide`` does.
-Both scans return their skips as ``_kernels_py.Skip`` rows
-``(n, reason, factor)``.
+Both scans return their skips in the shape the caller keeps: ``Skip``
+rows ``(n, reason, factor)``, counts per reason, or JSON text.
 """
 
 from . import _kernels_py as _py
@@ -80,22 +80,21 @@ def is_prime(n):
     return backend_for(n).is_prime(n)
 
 
-def scan(kind, strong, params, lo, hi):
-    """Run one test on every odd n in [lo, hi]; returns (hits, skips, counts).
+def scan(kind, strong, params, lo, hi, keep="rows"):
+    """Run one test on every odd n in [lo, hi]; returns (hits, rest, counts).
 
     ``kind`` is "lucas" with a ``LucasParams`` or "pell" with a
-    ``PellParams``, whose field order is the kernels' parameter order; the
-    decisions are ``_kernels_py.decide``'s, and each skip is a ``Skip``
-    row.  The compiled scan runs when hi and every parameter (not the Nones
-    a ``PellParams`` leaves) fit its 64-bit arithmetic, the pure one
-    otherwise.
+    ``PellParams``; ``rest`` is the skips as ``keep`` asks (see
+    ``_kernels_py.scan``).  The compiled scan runs when hi and every
+    parameter (not the Nones a ``PellParams`` leaves) fit its 64-bit
+    arithmetic, its tested n without the GIL; the pure one holds the GIL.
     """
     if lo < 3:
         raise ValueError(f"range must start at 3 or above, got {lo}")
     fits = all(v is None or -_C_LIMIT <= v < _C_LIMIT for v in params)
     if _c is not None and hi < _C_LIMIT and fits:
-        return _c.scan(kind, strong, params, lo, hi)
-    return _py.scan(kind, strong, params, lo, hi)
+        return _c.scan(kind, strong, params, lo, hi, keep)
+    return _py.scan(kind, strong, params, lo, hi, keep)
 
 
 def closed_form_sweep(x_max, y_max, d_abs, k_max, n_lo, n_hi, cap=10):

@@ -293,7 +293,7 @@ OUTPUT_DIGESTS = [
      0, "0697e5d35a44e9487f838ee2e438758eb3d721241a18f2881ef8dee91029c2c1"),
     (["reproduce"],
      3, "c04a1ea74fe38ee8c3d13baf0660da3ed162c19be49945a4cc617a149f8d3512"),
-    # four runs of blocks, so --workers 2 forks two workers
+    # four runs of blocks, so --workers 2 starts two worker threads
     (["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"],
      0, "cf96f8a083aa0b6c30de994119d2ed979de613f929d1a1a1341cafb07e6950ae"),
 ]
@@ -312,7 +312,7 @@ SEED = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"]
 # sha256 of the table and CSV stdout of enumerate, equal for every worker
 # count and on both kernel backends: the table's counts and its skips per
 # reason, which no JSONL digest covers.  Four runs of blocks each, so
-# --workers 2 forks two workers.
+# --workers 2 starts two worker threads.
 TABLE_CSV_DIGESTS = [
     pytest.param(SPARSE, "table", "c721bca8cfe3a92c406ae9b5383a6c87feaedf28085105f5d5f6b18446b5611c",
                  id="point-table"),
@@ -385,15 +385,14 @@ def test_enumerate_memory_does_not_grow_with_the_range():
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # a search forks its workers itself, with no process pool, and no
-    # record is a dataclass
+    # a search's workers are threads, whose queues only such a search imports
     src = os.path.dirname(os.path.dirname(pellucas.__file__))
-    code = ("import sys, pellucas.cli; "
-            "print([m in sys.modules for m in ('concurrent.futures.process', 'dataclasses')])")
+    unwanted = ("concurrent.futures.process", "dataclasses", "queue", "pickle")
+    code = f"import sys, pellucas.cli; print([m in sys.modules for m in {unwanted}])"
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[False, False]\n"
+    assert done.stdout == "[False, False, False, False]\n"
 
 
 # ------------------------------------------------------------------ fuzz

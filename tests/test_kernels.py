@@ -319,14 +319,16 @@ def test_scan_and_decide_return_skip_rows(name):
 def test_compiled_scan_rows_do_not_leak():
     # the C scan builds each skip row by hand: a lost reference would keep
     # every row of every call alive.  The Lucas Q gives gcd factors above
-    # 256, which are not cached ints, so that a lost factor shows too.
+    # 256, which are not cached ints, so that a lost factor shows too; and
+    # the JSON text's buffer, a PyMem allocation, which tracemalloc sees.
     fast = BACKENDS["compiled"]
     cases = (("pell", PellParams.from_point(3, 8, 66)), ("pell", PellParams.from_seed(6, 4)),
              ("lucas", LucasParams(3, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)))
 
     def run():
         for kind, params in cases:
-            fast.scan(kind, False, params, 3, 40_000)
+            for keep in ("rows", "reasons", "json"):
+                fast.scan(kind, False, params, 3, 40_000, keep)
 
     run()
     # no collection during the runs: one could run the finalizers of other

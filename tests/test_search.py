@@ -1,10 +1,15 @@
 """Range enumeration, skip reporting, fixtures, parallel determinism."""
 
 import hashlib
-import io
+import json
 import os
 import pickle
 import signal
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -114,7 +119,7 @@ def test_equivalence_sweep_via_parametrization():
 def test_parallel_determinism():
     specs = [
         SearchSpec("pell", PellParams.from_seed(23, 32), 3, 3000),
-        # four runs of blocks, so up to four forked workers
+        # four runs of blocks, so up to four worker threads
         SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 100_000),
     ]
     for spec in specs:
@@ -127,7 +132,7 @@ def test_parallel_determinism():
 # sha256 of repr(enumerate_range(spec, workers)); equal for every worker
 # count and on both kernel backends, so any change to the library report
 # (its skips' repr included) shows here.  Over 3..100000 there are four runs
-# of blocks, so workers 2 forks two workers.
+# of blocks, so workers 2 starts two worker threads.
 REPORT_DIGESTS = [
     (SearchSpec("lucas", LucasParams(3, 1), 3, 100_000),
      "e1f3c051af3a66b0892acf1fe59e57e921aa6bdd26d5427ed0cd6194091afdb0"),
@@ -228,216 +233,151 @@ def test_fixture_parse_errors():
 
 
 def time_out(signum, frame):
-    raise TimeoutError("the forked search did not end")
+    raise TimeoutError("the threaded search did not end")
+
+
+def search_threads():
+    """The worker threads of a search that are alive."""
+    return [t for t in threading.enumerate() if t.name.startswith("pellucas")]
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids of the workers that ``iter_blocks`` forks, through a wrapper around ``os.fork``.
+def started(monkeypatch):
+    """The names of the threads ``iter_blocks`` starts, through a wrapper around ``Thread.start``.
 
-    The test fails, and does not hang, if a search does not end within a
-    minute (a worker blocked on a pipe that is never closed, say).
+    Fails the test if it leaves a worker alive, or runs over a minute.
     """
-    pids = []
-    real_fork = os.fork
+    names = []
+    real_start = threading.Thread.start
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def start(thread):
+        names.append(thread.name)
+        real_start(thread)
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(threading.Thread, "start", start)
     # many cores, so that only the tests that lower it meet the core cap
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     previous = signal.signal(signal.SIGALRM, time_out)
     signal.alarm(60)
     try:
-        yield pids
+        yield names
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert search_threads() == []
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_workers_capped_at_block_count(forks):
-    # never more workers than runs of blocks, so a huge worker count forks
-    # no more than three
+def test_workers_capped_at_block_count(started):
+    # never more workers than runs of blocks, so a huge worker count has
+    # three, the caller's thread and two it starts
     point = PellParams.from_point(3, 8, 66)
     spec = SearchSpec("pell", point, 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
-    assert forks == []
+    assert started == []
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert len(forks) == 3
-    # a search of one run stays in-process
+    assert started == ["pellucas-search-1", "pellucas-search-2"]
+    # a search of one run stays in the caller's thread
     enumerate_range(SearchSpec("pell", point, 3, 3 + search.RUN_SPAN - 1), workers=2)
-    assert len(forks) == 3
-    assert_no_child_left()
+    assert len(started) == 2
 
 
-def test_workers_capped_at_core_count(forks, monkeypatch):
-    # every worker runs to the end of the range, so never more than one per core
+def test_workers_capped_at_core_count(started, monkeypatch):
+    # every worker runs to the end of the range, so never more than one per
+    # core; the workers are threads, which need no os.fork
+    monkeypatch.delattr(os, "fork")
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert enumerate_range(spec, workers=10**6) == baseline
     assert enumerate_range(spec, workers=None) == baseline
-    assert len(forks) == 4
-    # an unknown core count means one: the search stays in-process
+    assert len(started) == 2
+    # an unknown core count means one: the search stays in the caller's thread
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert len(forks) == 4
-    assert_no_child_left()
+    assert len(started) == 2
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(forks, workers):
+def test_workers_below_one_rejected(started, workers):
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
     with pytest.raises(ValueError, match="workers"):
         enumerate_range(spec, workers=workers)
-    assert forks == []
+    assert started == []
 
 
-def count_skips(block):
-    """A render hook: the block with its skips replaced by their number, and the renderer's pid."""
-    hits, skips, counts = block
-    return (list(hits), len(skips), tuple(counts)), os.getpid()
+def scanned_by(monkeypatch):
+    """(thread name, lo) of each ``kernels.scan`` call, through a wrapper around it."""
+    calls, scan = [], kernels.scan
+
+    def traced(*args):
+        calls.append((threading.current_thread().name, args[3]))
+        return scan(*args)
+
+    monkeypatch.setattr(kernels, "scan", traced)
+    return calls
 
 
-def test_blocks_are_rendered_in_the_workers(forks):
+def test_blocks_are_scanned_in_the_workers(started, monkeypatch):
     spec = SearchSpec("pell", PellParams.from_seed(6, 4), 3, 3 + 3 * search.RUN_SPAN - 1)
-    inline = list(search.iter_blocks(spec, 1, count_skips))
-    forked = list(search.iter_blocks(spec, 2, count_skips))
-    assert [part for part, _ in forked] == [part for part, _ in inline]
-    assert {pid for _, pid in inline} == {os.getpid()}
-    # block i comes from worker i mod 2, which rendered it
-    assert [pid for _, pid in forked] == [forks[i % 2] for i in range(len(forked))]
-    assert len(forks) == 2 and os.getpid() not in forks
-    assert_no_child_left()
+    inline = list(search.iter_blocks(spec, 1, "reasons"))
+    calls = scanned_by(monkeypatch)
+    assert list(search.iter_blocks(spec, 2, "reasons")) == inline
+    # each block is scanned once, run r by worker r mod 2: the caller's
+    # thread or the one it starts
+    assert started == ["pellucas-search-1"]
+    assert sorted(lo for _, lo in calls) == list(range(spec.lo, spec.hi + 1, search.BLOCK_SPAN))
+    names = ("MainThread", "pellucas-search-1")
+    assert all(name == names[(lo - spec.lo) // search.RUN_SPAN % 2] for name, lo in calls)
 
 
-def test_closing_the_generator_reaps_the_workers(forks):
-    # seven runs of sparse blocks: the workers fill their pipes and block
-    # on them, so only closing the read ends lets them end
+def test_closing_the_generator_stops_the_workers(started):
+    # seven runs of sparse blocks: the workers fill their queues and wait
+    # on them, so only emptying the queues lets them end
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
     blocks = search.iter_blocks(spec, 2)
     assert next(blocks) == next(search.iter_blocks(spec, 1))
     blocks.close()
-    assert len(forks) == 2
-    assert_no_child_left()
+    assert len(started) == 1
+    assert search_threads() == []
 
 
-def test_ctrl_c_reaps_the_workers(forks):
-    # SIGINT reaches this process alone, between two blocks
+def test_ctrl_c_stops_the_workers(started):
+    # SIGINT reaches the caller's thread, between two blocks
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
     with pytest.raises(KeyboardInterrupt):
         for _ in search.iter_blocks(spec, 2):
             os.kill(os.getpid(), signal.SIGINT)
-    assert len(forks) == 2
-    assert_no_child_left()
+    assert len(started) == 1
+    assert search_threads() == []
 
 
-def fail_to_render(block):
-    """A render hook that raises."""
-    raise LookupError("no renderer")
+def test_a_workers_exception_is_raised_in_the_caller(started, monkeypatch):
+    scan = kernels.scan
 
+    def refuse(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise LookupError("no scan in a worker")
+        return scan(*args)
 
-def test_a_workers_exception_is_raised_in_the_caller(forks):
+    monkeypatch.setattr(kernels, "scan", refuse)
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
-    with pytest.raises(LookupError, match="no renderer"):
-        list(search.iter_blocks(spec, 2, fail_to_render))
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-PARENT = os.getpid()
-
-
-def vanish_in_a_worker(block):
-    """A render hook that ends a worker without a word, and passes blocks in this process."""
-    if os.getpid() != PARENT:
-        os._exit(0)
-    return block
-
-
-def test_a_worker_that_ends_early_is_an_error(forks):
-    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
-    with pytest.raises(RuntimeError, match="ended before"):
-        list(search.iter_blocks(spec, 2, vanish_in_a_worker))
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-def test_a_signal_as_the_fork_returns_ends_the_worker(forks, monkeypatch, tmp_path):
-    # Ctrl-C can raise in a worker as soon as os.fork() returns there: the
-    # worker must still end, and not return into this test
-    me, forked = os.getpid(), os.fork
-
-    def fork():
-        pid = forked()
-        if pid == 0:
-            raise KeyboardInterrupt
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
-    try:
+    with pytest.raises(LookupError, match="no scan in a worker"):
         list(search.iter_blocks(spec, 2))
-    except BaseException as err:
-        if os.getpid() != me:  # a worker that got here: leave a mark, end at once
-            (tmp_path / str(os.getpid())).touch()
-            os._exit(1)
-        assert isinstance(err, RuntimeError) and "ended before" in str(err)
-    else:
-        raise AssertionError("the workers sent no blocks, yet no error")
-    assert list(tmp_path.iterdir()) == []
-    assert len(forks) == 2
-    assert_no_child_left()
+    assert len(started) == 1
 
 
-def refuse_to_load():
-    raise AssertionError("the parent read part of a message that failed to pickle")
-
-
-class LoadBomb:
-    """Pickles, but raises when it is unpickled."""
-
-    def __reduce__(self):
-        return refuse_to_load, ()
-
-
-def unpicklable(block):
-    """A render hook whose result cannot be pickled, after a ``LoadBomb`` and 100 kB that can."""
-    return LoadBomb(), bytes(100_000), lambda: None
-
-
-def test_a_result_that_cannot_be_pickled_is_raised_in_the_caller(forks):
-    # the pickle is built whole before the write: a pickler that wrote as it
-    # went would have sent the bomb and the 100 kB, which the parent would
-    # then unpickle
-    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
-    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
-        list(search.iter_blocks(spec, 2, unpicklable))
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-# a block of 10,000 skips: about 100 kB, so its pickle has two frames
-SENT = pickle.dumps(
-    ([], [(n, "point-not-on-conic", None) for n in range(3, 20003, 2)], [0, 0, 0, 10000]),
-    pickle.HIGHEST_PROTOCOL,
-)
-
-
-@pytest.mark.parametrize("cut", [len(SENT), 1, 2, 9, 1000, len(SENT) // 2])
-def test_a_pipe_that_ends_within_a_message_is_an_error(cut):
-    # an empty pipe, or one that ends within the pickle's last frame or its first
-    with pytest.raises(RuntimeError, match="ended before"):
-        search._receive(io.BytesIO(SENT[:-cut]))
+def test_blocks_in_flight_stay_bounded(started, monkeypatch):
+    # the caller holds its first run, and the worker its queue's runs and
+    # the one it waits to put; unbounded, it would scan all 320 blocks
+    spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 20 * search.RUN_SPAN - 1)
+    calls = scanned_by(monkeypatch)
+    blocks = search.iter_blocks(spec, 2)
+    next(blocks)
+    time.sleep(0.5)
+    in_flight = len(calls)
+    time.sleep(0.2)
+    assert len(calls) == in_flight <= (1 + search.QUEUE_RUNS + 1) * search.RUN_BLOCKS
+    blocks.close()
 
 
 def test_blocks_are_made_lazily():
@@ -633,13 +573,27 @@ def test_scan_across_sieve_windows(lo):
 
 def test_scan_ranks_follow_the_test():
     # the compiled scan keeps the last test's ranks; Lucas (3, 8) and the
-    # seed d = 3, a = 8 share their raw parameters, not their ranks
+    # seed d = 3, a = 8 share their raw parameters, not their ranks.  A scan
+    # copies them before it lets other threads run: eight threads scanning
+    # two tests at once, handing the GIL over as often as they can, agree
     for kind, params in (("lucas", LucasParams(3, 8)), ("pell", PellParams.from_seed(3, 8)),
                          ("lucas", LucasParams(3, 8))):
         for strong in (False, True):
             expected = per_n_scan(kind, strong, params, 3, 4001)
             for name in BACKENDS:
                 assert backend_scan(name, kind, strong, params, 3, 4001) == expected, name
+    def scan(case):
+        return kernels.scan(case[0], False, case[1], 3, 40_001)
+
+    cases = [("lucas", LucasParams(3, 1)), ("pell", PellParams.from_seed(6, 4))] * 32
+    expected = list(map(scan, cases))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            assert list(pool.map(scan, cases)) == expected
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # Each gate reads a constant of the search: Lucas D = P^2 - 4Q and Q; a
@@ -698,6 +652,35 @@ def test_scan_gate_constants_at_their_edges(kind, params, lo, hi):
             assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
 
 
+def json_items(rows):
+    """Skip rows as the JSONL record lists them: each ``json.dumps``'s item after ", "."""
+    items = (dict(zip(Skip._fields, row)) for row in rows)
+    return "".join(", " + json.dumps(item, separators=(", ", ": ")) for item in items)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("kind, params, lo, hi",
+                         [(kind, params, lo, lo + 4198) for kind, params in LANE_CASES
+                          for lo in (3, 10**12 - 2001)] + GATE_CONSTANT_CASES)
+def test_scan_shapes_are_made_from_the_rows(name, kind, params, lo, hi):
+    # the table's and JSONL's shapes are the rows' own, with the same hits and counts
+    scan = BACKENDS[name].scan
+    for strong in (False, True):
+        hits, rows, counts = scan(kind, strong, params, lo, hi, "rows")
+        tally = Counter(row.reason for row in rows)
+        reasons = tuple(tally[reason] for reason in _kernels_py.REASONS)
+        assert scan(kind, strong, params, lo, hi, "reasons") == (hits, reasons, counts)
+        assert scan(kind, strong, params, lo, hi, "json") == (hits, json_items(rows), counts)
+
+
+def test_json_shape_of_a_factor_above_2_63():
+    # the pure scan's factors have no bound: Lucas Q = p, a prime above 2^64, at n = p
+    p = next(n for n in range(2**64 + 1, 2**64 + 1000, 2) if _kernels_py.is_prime(n))
+    rows, text = (kernels.scan("lucas", False, LucasParams(3, p), p - 6, p + 6, keep)[1]
+                  for keep in ("rows", "json"))
+    assert Skip(p, "gcd-failure", p) in rows and text == json_items(rows)
+
+
 def test_scan_of_a_zero_discriminant_skips_every_n():
     # (P, Q) with P^2 = 4Q: (0/n) = 0 and gcd(0, n) = n for every n
     for p, q in ((6, 9), (-2, 1), (2 * 3**19, 3**38)):
@@ -736,6 +719,8 @@ def test_scans_reject_other_kinds(kind):
     for backend in BACKENDS.values():
         with pytest.raises(ValueError, match="kind must be"):
             backend.scan(kind, False, params, 3, 50)
+        with pytest.raises(ValueError, match="keep must be"):  # nor a shape of the skips
+            backend.scan("pell", False, params, 3, 50, kind)
     for lo in (3, 2**63 + 1):
         with pytest.raises(ValueError, match="kind must be"):
             kernels.scan(kind, False, params, lo, lo + 40)
