@@ -93,6 +93,13 @@ def _work(runs, out, stop):
         out.put(err)
 
 
+def _sparse(spec):
+    """A point search off the conic over the integers: its gates pass only the
+    divisors of x^2 - d y^2 - 1, and skips hold the GIL, so threads only cost."""
+    p = spec.params
+    return spec.kind == "pell" and p.a is None and p.x * p.x - p.d * p.y * p.y != 1
+
+
 def check_workers(workers):
     """Reject a worker count below 1; ``None`` (one per core) passes."""
     if workers is not None and workers < 1:
@@ -105,8 +112,9 @@ def iter_blocks(spec, workers=1, keep="rows"):
     ``keep`` is the scan's.  With W > 1 workers, the caller's thread scans
     runs 0, W, 2W, ... of ``RUN_BLOCKS`` blocks and worker thread w runs w,
     w + W, ... into its own queue of ``QUEUE_RUNS`` runs, so memory does not
-    grow with the range.  There are never more workers than runs or cores;
-    ``None`` means one per core, fewer than one raises ``ValueError``.
+    grow with the range.  There are never more workers than runs or cores,
+    and a sparse point search (see ``_sparse``) has one; ``None`` means one
+    per core, fewer than one raises ``ValueError``.
     However the generator ends (``close()``, ``KeyboardInterrupt``, ...),
     it stops the workers before their next block, empties their queues and
     joins them.  A worker's exception is raised here as it is.
@@ -115,7 +123,7 @@ def iter_blocks(spec, workers=1, keep="rows"):
     cores = os.cpu_count() or 1
     runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
     # every worker runs from the first run to the end of the range
-    workers = min(workers or cores, len(runs), cores)
+    workers = 1 if _sparse(spec) else min(workers or cores, len(runs), cores)
     if workers <= 1:
         yield from (_scan(spec, b, keep) for b in range(spec.lo, spec.hi + 1, BLOCK_SPAN))
         return

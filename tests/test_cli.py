@@ -312,7 +312,7 @@ SEED = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"]
 # sha256 of the table and CSV stdout of enumerate, equal for every worker
 # count and on both kernel backends: the table's counts and its skips per
 # reason, which no JSONL digest covers.  Four runs of blocks each, so
-# --workers 2 starts two worker threads.
+# --workers 2 starts two worker threads for the seed (none for the point).
 TABLE_CSV_DIGESTS = [
     pytest.param(SPARSE, "table", "c721bca8cfe3a92c406ae9b5383a6c87feaedf28085105f5d5f6b18446b5611c",
                  id="point-table"),

@@ -38,6 +38,7 @@ from pellucas.fixtures import parse_fixtures, run_fixture
 from pellucas.kernels import MR_DETERMINISTIC_BOUND
 
 BACKENDS = kernels.backends()
+SPARSE = search._sparse
 
 
 def trial_division_composite(n):
@@ -120,7 +121,7 @@ def test_parallel_determinism():
     specs = [
         SearchSpec("pell", PellParams.from_seed(23, 32), 3, 3000),
         # four runs of blocks, so up to four worker threads
-        SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 100_000),
+        SearchSpec("pell", PellParams.from_seed(6, 4), 3, 100_000),
     ]
     for spec in specs:
         baseline = enumerate_range(spec, workers=1)
@@ -132,7 +133,7 @@ def test_parallel_determinism():
 # sha256 of repr(enumerate_range(spec, workers)); equal for every worker
 # count and on both kernel backends, so any change to the library report
 # (its skips' repr included) shows here.  Over 3..100000 there are four runs
-# of blocks, so workers 2 starts two worker threads.
+# of blocks, so workers 2 starts two worker threads (none for the point).
 REPORT_DIGESTS = [
     (SearchSpec("lucas", LucasParams(3, 1), 3, 100_000),
      "e1f3c051af3a66b0892acf1fe59e57e921aa6bdd26d5427ed0cd6194091afdb0"),
@@ -257,6 +258,9 @@ def started(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     # many cores, so that only the tests that lower it meet the core cap
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # the thread tests run the point search, quick on either backend: it
+    # gets the threads that iter_blocks gives no sparse search
+    monkeypatch.setattr(search, "_sparse", lambda spec: False)
     previous = signal.signal(signal.SIGALRM, time_out)
     signal.alarm(60)
     try:
@@ -267,7 +271,7 @@ def started(monkeypatch):
     assert search_threads() == []
 
 
-def test_workers_capped_at_block_count(started):
+def test_workers_capped_at_block_count(started, monkeypatch):
     # never more workers than runs of blocks, so a huge worker count has
     # three, the caller's thread and two it starts
     point = PellParams.from_point(3, 8, 66)
@@ -279,6 +283,11 @@ def test_workers_capped_at_block_count(started):
     # a search of one run stays in the caller's thread
     enumerate_range(SearchSpec("pell", point, 3, 3 + search.RUN_SPAN - 1), workers=2)
     assert len(started) == 2
+    # so does a point off the integer conic, whose gates pass only the
+    # divisors of x^2 - d y^2 - 1 (-13005 here); not one on it, as (3, 2) is
+    monkeypatch.setattr(search, "_sparse", SPARSE)
+    assert enumerate_range(spec, workers=10**6) == baseline
+    assert len(started) == 2 and not SPARSE(spec._replace(params=PellParams.from_point(2, 3, 2)))
 
 
 def test_workers_capped_at_core_count(started, monkeypatch):
@@ -319,6 +328,7 @@ def scanned_by(monkeypatch):
 
 def test_blocks_are_scanned_in_the_workers(started, monkeypatch):
     spec = SearchSpec("pell", PellParams.from_seed(6, 4), 3, 3 + 3 * search.RUN_SPAN - 1)
+    assert not SPARSE(spec)
     inline = list(search.iter_blocks(spec, 1, "reasons"))
     calls = scanned_by(monkeypatch)
     assert list(search.iter_blocks(spec, 2, "reasons")) == inline
