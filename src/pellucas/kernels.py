@@ -80,19 +80,24 @@ def is_prime(n):
     return backend_for(n).is_prime(n)
 
 
+def scans_compiled(params, hi):
+    """Whether ``scan`` runs compiled up to hi, its tested n without the GIL:
+    the extension is built, and hi and every parameter (not the Nones a
+    ``PellParams`` leaves) fit signed 64-bit integers.  The pure scan holds the GIL."""
+    fits = all(v is None or -_C_LIMIT <= v < _C_LIMIT for v in params)
+    return _c is not None and hi < _C_LIMIT and fits
+
+
 def scan(kind, strong, params, lo, hi, keep="rows"):
     """Run one test on every odd n in [lo, hi]; returns (hits, rest, counts).
 
     ``kind`` is "lucas" with a ``LucasParams`` or "pell" with a
     ``PellParams``; ``rest`` is the skips as ``keep`` asks (see
-    ``_kernels_py.scan``).  The compiled scan runs when hi and every
-    parameter (not the Nones a ``PellParams`` leaves) fit its 64-bit
-    arithmetic, its tested n without the GIL; the pure one holds the GIL.
+    ``_kernels_py.scan``).  ``scans_compiled`` picks the backend.
     """
     if lo < 3:
         raise ValueError(f"range must start at 3 or above, got {lo}")
-    fits = all(v is None or -_C_LIMIT <= v < _C_LIMIT for v in params)
-    if _c is not None and hi < _C_LIMIT and fits:
+    if scans_compiled(params, hi):
         return _c.scan(kind, strong, params, lo, hi, keep)
     return _py.scan(kind, strong, params, lo, hi, keep)
 

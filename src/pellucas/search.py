@@ -8,13 +8,12 @@ reports are identical for any worker count.
 
 Each block is one fused scan, ``kernels.scan``, which returns what the
 caller keeps of its skips.  ``iter_blocks`` yields the blocks in order,
-from worker threads if asked, and ``merge`` consumes them, for
+from a pool of threads if asked, and ``merge`` consumes them, for
 ``enumerate_range`` and the CLI alike.
 """
 
 import os
-from collections import namedtuple
-from itertools import cycle, islice
+from collections import deque, namedtuple
 
 from . import kernels
 from ._kernels_py import Skip  # noqa: F401 (re-exported)
@@ -30,7 +29,8 @@ BLOCK_SPAN = 2048
 # block to another thread costs more than a sparse block's scan.
 RUN_BLOCKS = 16
 RUN_SPAN = RUN_BLOCKS * BLOCK_SPAN
-# The scanned runs a worker thread holds for the caller before it waits.
+# The runs scanned and not yet merged, beyond one per worker thread: the
+# one the caller merges and one ready for it.
 QUEUE_RUNS = 2
 
 
@@ -75,29 +75,14 @@ def _scan(spec, lo, keep):
     return kernels.scan(spec.kind, spec.strong, spec.params, lo, hi, keep)
 
 
-def _scan_runs(spec, runs, keep, stop):
-    """Yield the blocks of each run that begins at ``runs`` as a list; none once ``stop`` is set."""
-    for lo in runs:
-        starts = range(lo, min(lo + RUN_SPAN, spec.hi + 1), BLOCK_SPAN)
-        yield [_scan(spec, b, keep) for b in starts if not stop.is_set()]
-
-
-def _work(runs, out, stop):
-    """A worker thread: put each of ``runs``, or the exception that ends them, into ``out``."""
-    try:
-        for run in runs:
-            if stop.is_set():  # the run may be cut short
-                return
-            out.put(run)
-    except BaseException as err:  # the caller re-raises it
-        out.put(err)
-
-
-def _sparse(spec):
-    """A point search off the conic over the integers: its gates pass only the
-    divisors of x^2 - d y^2 - 1, and skips hold the GIL, so threads only cost."""
+def _one_thread(spec):
+    """Whether a search keeps to the caller's thread, as threads only cost where the
+    GIL is held: by the pure scan (see ``kernels.scans_compiled``), and by the skips
+    of a point off the conic over the integers, whose gates pass only the
+    divisors of x^2 - d y^2 - 1."""
     p = spec.params
-    return spec.kind == "pell" and p.a is None and p.x * p.x - p.d * p.y * p.y != 1
+    sparse = spec.kind == "pell" and p.a is None and p.x * p.x - p.d * p.y * p.y != 1
+    return sparse or not kernels.scans_compiled(p, spec.hi)
 
 
 def check_workers(workers):
@@ -109,54 +94,44 @@ def check_workers(workers):
 def iter_blocks(spec, workers=1, keep="rows"):
     """Yield each block's ``(hits, rest, counts)`` from ``kernels.scan``, in block order.
 
-    ``keep`` is the scan's.  With W > 1 workers, the caller's thread scans
-    runs 0, W, 2W, ... of ``RUN_BLOCKS`` blocks and worker thread w runs w,
-    w + W, ... into its own queue of ``QUEUE_RUNS`` runs, so memory does not
-    grow with the range.  There are never more workers than runs or cores,
-    and a sparse point search (see ``_sparse``) has one; ``None`` means one
-    per core, fewer than one raises ``ValueError``.
+    ``keep`` is the scan's.  With W > 1 workers, a pool of W threads scans
+    the range a run of ``RUN_BLOCKS`` blocks at a time, at most
+    W + ``QUEUE_RUNS`` runs ahead of what the caller's thread has merged, so
+    memory does not grow with the range.  There are never more workers than
+    runs or cores, and a search that ``_one_thread`` names has one; ``None``
+    means one per core, fewer than one raises ``ValueError``.
     However the generator ends (``close()``, ``KeyboardInterrupt``, ...),
-    it stops the workers before their next block, empties their queues and
-    joins them.  A worker's exception is raised here as it is.
+    it stops the runs before their next block and joins the threads.  A
+    worker's exception is raised here as it is.
     """
     check_workers(workers)
     cores = os.cpu_count() or 1
     runs = range(spec.lo, spec.hi + 1, RUN_SPAN)
-    # every worker runs from the first run to the end of the range
-    workers = 1 if _sparse(spec) else min(workers or cores, len(runs), cores)
+    workers = 1 if _one_thread(spec) else min(workers or cores, len(runs), cores)
     if workers <= 1:
         yield from (_scan(spec, b, keep) for b in range(spec.lo, spec.hi + 1, BLOCK_SPAN))
         return
-    # imported here, not at the top: a search of one worker needs neither
-    import queue
-    import threading
+    # imported here, not at the top: a search of one worker needs no pool
+    from concurrent.futures import ThreadPoolExecutor
 
-    stop = threading.Event()
-    queues = [queue.Queue(QUEUE_RUNS) for _ in range(1, workers)]
-    threads = [
-        # daemon, lest a second Ctrl-C in the clean-up leave one holding the process
-        threading.Thread(target=_work, name=f"pellucas-search-{w}", daemon=True,
-                         args=(_scan_runs(spec, runs[w::workers], keep, stop), queues[w - 1], stop))
-        for w in range(1, workers)
-    ]
-    takes = [_scan_runs(spec, runs[::workers], keep, stop).__next__] + [q.get for q in queues]
+    stopped = False
+
+    def scan_run(lo):
+        starts = range(lo, min(lo + RUN_SPAN, spec.hi + 1), BLOCK_SPAN)
+        return [_scan(spec, b, keep) for b in starts if not stopped]
+
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="pellucas-search")
+    pending = deque()
     try:
-        for thread in threads:
-            thread.start()
-        for take in islice(cycle(takes), len(runs)):
-            run = take()
-            if isinstance(run, BaseException):
-                raise run
-            yield from run
+        for lo in runs:
+            if len(pending) == workers + QUEUE_RUNS:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(scan_run, lo))
+        while pending:
+            yield from pending.popleft().result()
     finally:
-        stop.set()
-        # a worker puts at most once more after the flag: an emptied queue takes it
-        for out in queues:
-            while not out.empty():
-                out.get_nowait()
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
+        stopped = True
+        pool.shutdown(cancel_futures=True)
 
 
 def merge(blocks, take=None):

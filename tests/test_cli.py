@@ -293,7 +293,7 @@ OUTPUT_DIGESTS = [
      0, "0697e5d35a44e9487f838ee2e438758eb3d721241a18f2881ef8dee91029c2c1"),
     (["reproduce"],
      3, "c04a1ea74fe38ee8c3d13baf0660da3ed162c19be49945a4cc617a149f8d3512"),
-    # four runs of blocks, so --workers 2 starts two worker threads
+    # four runs of blocks, so --workers 2 starts two threads (none on the pure scan)
     (["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"],
      0, "cf96f8a083aa0b6c30de994119d2ed979de613f929d1a1a1341cafb07e6950ae"),
 ]
@@ -312,7 +312,8 @@ SEED = ["enumerate", "pell", "--d", "6", "--a", "4", "--to", "100000"]
 # sha256 of the table and CSV stdout of enumerate, equal for every worker
 # count and on both kernel backends: the table's counts and its skips per
 # reason, which no JSONL digest covers.  Four runs of blocks each, so
-# --workers 2 starts two worker threads for the seed (none for the point).
+# --workers 2 starts two threads for the seed (none for the point, nor on
+# the pure scan).
 TABLE_CSV_DIGESTS = [
     pytest.param(SPARSE, "table", "c721bca8cfe3a92c406ae9b5383a6c87feaedf28085105f5d5f6b18446b5611c",
                  id="point-table"),
@@ -366,10 +367,9 @@ class Sink(io.TextIOBase):
         return len(text)
 
 
-def enumerate_peak(to):
-    """tracemalloc peak, in bytes, of a sparse JSONL search up to ``to``."""
-    argv = ["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--to", str(to),
-            "--workers", "1", "--format", "jsonl"]
+def enumerate_peak(search, to):
+    """tracemalloc peak, in bytes, of a JSONL search up to ``to``, in every thread."""
+    argv = [*search, "--to", str(to), "--format", "jsonl"]
     tracemalloc.start()
     try:
         with redirect_stdout(Sink()):
@@ -380,19 +380,33 @@ def enumerate_peak(to):
 
 
 def test_enumerate_memory_does_not_grow_with_the_range():
-    enumerate_peak(3000)  # imports and caches are not part of the search
-    assert enumerate_peak(240_000) <= 1.2 * enumerate_peak(60_000)
+    point = ["enumerate", "pell", "--d", "3", "--x", "8", "--y", "66", "--workers", "1"]
+    enumerate_peak(point, 3000)  # imports and caches are not part of the search
+    assert enumerate_peak(point, 240_000) <= 1.2 * enumerate_peak(point, 60_000)
+
+
+@pytest.mark.skipif(kernels.BACKEND != "compiled",
+                    reason="compiled backend not built; run python setup.py build_ext --inplace")
+def test_threaded_enumerate_memory_does_not_grow_with_the_range():
+    # threads scan the seed.  How many scanned runs wait for the merge at
+    # once depends on timing, so the short range has 30 runs, enough to
+    # meet the pool's bound: its peak read 1.5-2.2 MB over 6 runs, and
+    # 2.0-2.1 MB over 30.  The pure scan keeps it to one thread, and is slow.
+    seed = ["enumerate", "pell", "--d", "6", "--a", "4", "--workers", "2"]
+    enumerate_peak(seed, 3000)
+    assert enumerate_peak(seed, 4_000_000) <= 1.2 * enumerate_peak(seed, 1_000_000)
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    # a search's workers are threads, whose queues only such a search imports
+    # a search's workers are threads, whose pool only such a search imports
     src = os.path.dirname(os.path.dirname(pellucas.__file__))
-    unwanted = ("concurrent.futures.process", "dataclasses", "queue", "pickle")
+    unwanted = ("concurrent.futures.process", "concurrent.futures.thread", "dataclasses",
+                "queue", "pickle")
     code = f"import sys, pellucas.cli; print([m in sys.modules for m in {unwanted}])"
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[False, False, False, False]\n"
+    assert done.stdout == "[False, False, False, False, False]\n"
 
 
 # ------------------------------------------------------------------ fuzz

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -38,7 +39,7 @@ from pellucas.fixtures import parse_fixtures, run_fixture
 from pellucas.kernels import MR_DETERMINISTIC_BOUND
 
 BACKENDS = kernels.backends()
-SPARSE = search._sparse
+ONE_THREAD = search._one_thread
 
 
 def trial_division_composite(n):
@@ -133,7 +134,8 @@ def test_parallel_determinism():
 # sha256 of repr(enumerate_range(spec, workers)); equal for every worker
 # count and on both kernel backends, so any change to the library report
 # (its skips' repr included) shows here.  Over 3..100000 there are four runs
-# of blocks, so workers 2 starts two worker threads (none for the point).
+# of blocks, so workers 2 starts two threads (none for the point, nor on
+# the pure scan).
 REPORT_DIGESTS = [
     (SearchSpec("lucas", LucasParams(3, 1), 3, 100_000),
      "e1f3c051af3a66b0892acf1fe59e57e921aa6bdd26d5427ed0cd6194091afdb0"),
@@ -242,9 +244,31 @@ def search_threads():
     return [t for t in threading.enumerate() if t.name.startswith("pellucas")]
 
 
+@contextmanager
+def first_scans_meet(monkeypatch, threads):
+    """Hold each thread's first ``kernels.scan`` call until ``threads`` threads have made one.
+
+    A pool hands a run to a thread that has finished one before it starts
+    another, so a quick run could leave a thread unstarted; here each of the
+    ``threads`` must start.  If fewer begin, the barrier breaks, and the
+    search raises ``BrokenBarrierError``.
+    """
+    barrier, begun, scan = threading.Barrier(threads, timeout=10), set(), kernels.scan
+
+    def meet(*args):
+        if threading.current_thread() not in begun:
+            begun.add(threading.current_thread())
+            barrier.wait()
+        return scan(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "scan", meet)
+        yield
+
+
 @pytest.fixture
 def started(monkeypatch):
-    """The names of the threads ``iter_blocks`` starts, through a wrapper around ``Thread.start``.
+    """The names of the threads a search starts, through a wrapper around ``Thread.start``.
 
     Fails the test if it leaves a worker alive, or runs over a minute.
     """
@@ -259,8 +283,8 @@ def started(monkeypatch):
     # many cores, so that only the tests that lower it meet the core cap
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     # the thread tests run the point search, quick on either backend: it
-    # gets the threads that iter_blocks gives no sparse search
-    monkeypatch.setattr(search, "_sparse", lambda spec: False)
+    # gets the threads that iter_blocks gives no sparse or pure search
+    monkeypatch.setattr(search, "_one_thread", lambda spec: False)
     previous = signal.signal(signal.SIGALRM, time_out)
     signal.alarm(60)
     try:
@@ -273,37 +297,53 @@ def started(monkeypatch):
 
 def test_workers_capped_at_block_count(started, monkeypatch):
     # never more workers than runs of blocks, so a huge worker count has
-    # three, the caller's thread and two it starts
+    # three threads
     point = PellParams.from_point(3, 8, 66)
     spec = SearchSpec("pell", point, 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
     assert started == []
-    assert enumerate_range(spec, workers=10**6) == baseline
-    assert started == ["pellucas-search-1", "pellucas-search-2"]
+    with first_scans_meet(monkeypatch, 3):
+        assert enumerate_range(spec, workers=10**6) == baseline
+    assert started == ["pellucas-search_0", "pellucas-search_1", "pellucas-search_2"]
     # a search of one run stays in the caller's thread
     enumerate_range(SearchSpec("pell", point, 3, 3 + search.RUN_SPAN - 1), workers=2)
-    assert len(started) == 2
+    assert len(started) == 3
     # so does a point off the integer conic, whose gates pass only the
-    # divisors of x^2 - d y^2 - 1 (-13005 here); not one on it, as (3, 2) is
-    monkeypatch.setattr(search, "_sparse", SPARSE)
+    # divisors of x^2 - d y^2 - 1 (-13005 here); not one on it, as (3, 2) is,
+    # unless the pure scan runs it
+    monkeypatch.setattr(search, "_one_thread", ONE_THREAD)
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert len(started) == 2 and not SPARSE(spec._replace(params=PellParams.from_point(2, 3, 2)))
+    on_conic = spec._replace(params=PellParams.from_point(2, 3, 2))
+    assert len(started) == 3 and ONE_THREAD(on_conic) == (kernels.BACKEND == "pure")
+
+
+def test_a_search_the_pure_scan_runs_keeps_to_one_thread(started, monkeypatch):
+    # the pure scan holds the GIL, so threads would only cost: above 2^63,
+    # with a parameter outside signed 64-bit, or with no compiled extension
+    monkeypatch.setattr(search, "_one_thread", ONE_THREAD)
+    lo = (1 << 63) + 1
+    spec = SearchSpec("lucas", LucasParams(3, 1), lo, lo + 3 * search.RUN_SPAN - 1)
+    assert enumerate_range(spec, workers=2) == enumerate_range(spec, workers=1)
+    assert started == []
+    assert ONE_THREAD(SearchSpec("lucas", LucasParams(3, -(1 << 63) - 1), 3, 10**6))
+    assert ONE_THREAD(spec._replace(lo=3, hi=10**6)) == (kernels.BACKEND == "pure")
 
 
 def test_workers_capped_at_core_count(started, monkeypatch):
-    # every worker runs to the end of the range, so never more than one per
-    # core; the workers are threads, which need no os.fork
+    # never more workers than cores, whose threads the scans would share;
+    # the workers are threads, which need no os.fork
     monkeypatch.delattr(os, "fork")
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
     baseline = enumerate_range(spec, workers=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert enumerate_range(spec, workers=10**6) == baseline
-    assert enumerate_range(spec, workers=None) == baseline
-    assert len(started) == 2
+    with first_scans_meet(monkeypatch, 2):
+        assert enumerate_range(spec, workers=10**6) == baseline
+        assert enumerate_range(spec, workers=None) == baseline
+    assert started == ["pellucas-search_0", "pellucas-search_1"] * 2
     # an unknown core count means one: the search stays in the caller's thread
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert enumerate_range(spec, workers=10**6) == baseline
-    assert len(started) == 2
+    assert len(started) == 4
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -328,36 +368,38 @@ def scanned_by(monkeypatch):
 
 def test_blocks_are_scanned_in_the_workers(started, monkeypatch):
     spec = SearchSpec("pell", PellParams.from_seed(6, 4), 3, 3 + 3 * search.RUN_SPAN - 1)
-    assert not SPARSE(spec)
+    assert ONE_THREAD(spec) == (kernels.BACKEND == "pure")
     inline = list(search.iter_blocks(spec, 1, "reasons"))
     calls = scanned_by(monkeypatch)
-    assert list(search.iter_blocks(spec, 2, "reasons")) == inline
-    # each block is scanned once, run r by worker r mod 2: the caller's
-    # thread or the one it starts
-    assert started == ["pellucas-search-1"]
+    with first_scans_meet(monkeypatch, 2):
+        assert list(search.iter_blocks(spec, 2, "reasons")) == inline
+    # each block is scanned once, in one of the two threads the search
+    # starts; the caller's thread only merges
+    assert started == ["pellucas-search_0", "pellucas-search_1"]
     assert sorted(lo for _, lo in calls) == list(range(spec.lo, spec.hi + 1, search.BLOCK_SPAN))
-    names = ("MainThread", "pellucas-search-1")
-    assert all(name == names[(lo - spec.lo) // search.RUN_SPAN % 2] for name, lo in calls)
+    assert all(name in started for name, _ in calls)
 
 
-def test_closing_the_generator_stops_the_workers(started):
-    # seven runs of sparse blocks: the workers fill their queues and wait
-    # on them, so only emptying the queues lets them end
+def test_closing_the_generator_stops_the_workers(started, monkeypatch):
+    # seven runs of sparse blocks, more than the pool scans ahead: closing
+    # cancels the runs not begun and joins the threads
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
-    blocks = search.iter_blocks(spec, 2)
-    assert next(blocks) == next(search.iter_blocks(spec, 1))
-    blocks.close()
-    assert len(started) == 1
+    first = next(search.iter_blocks(spec, 1))
+    with first_scans_meet(monkeypatch, 2):
+        blocks = search.iter_blocks(spec, 2)
+        assert next(blocks) == first
+        blocks.close()
+    assert len(started) == 2
     assert search_threads() == []
 
 
-def test_ctrl_c_stops_the_workers(started):
-    # SIGINT reaches the caller's thread, between two blocks
+def test_ctrl_c_stops_the_workers(started, monkeypatch):
+    # SIGINT reaches the caller's thread, which only merges the blocks
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 7 * search.RUN_SPAN - 1)
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(KeyboardInterrupt), first_scans_meet(monkeypatch, 2):
         for _ in search.iter_blocks(spec, 2):
             os.kill(os.getpid(), signal.SIGINT)
-    assert len(started) == 1
+    assert len(started) == 2
     assert search_threads() == []
 
 
@@ -371,14 +413,17 @@ def test_a_workers_exception_is_raised_in_the_caller(started, monkeypatch):
 
     monkeypatch.setattr(kernels, "scan", refuse)
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 3 * search.RUN_SPAN - 1)
-    with pytest.raises(LookupError, match="no scan in a worker"):
-        list(search.iter_blocks(spec, 2))
-    assert len(started) == 1
+    with pytest.raises(LookupError, match="^no scan in a worker$") as raised:
+        with first_scans_meet(monkeypatch, 2):
+            list(search.iter_blocks(spec, 2))
+    assert type(raised.value) is LookupError
+    assert len(started) == 2
 
 
 def test_blocks_in_flight_stay_bounded(started, monkeypatch):
-    # the caller holds its first run, and the worker its queue's runs and
-    # the one it waits to put; unbounded, it would scan all 320 blocks
+    # the pool scans the caller's first run and one more for each of the
+    # two threads and for QUEUE_RUNS - 1 ready runs; unbounded, it would
+    # scan all 320 blocks
     spec = SearchSpec("pell", PellParams.from_point(3, 8, 66), 3, 3 + 20 * search.RUN_SPAN - 1)
     calls = scanned_by(monkeypatch)
     blocks = search.iter_blocks(spec, 2)
