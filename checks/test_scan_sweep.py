@@ -7,11 +7,16 @@ Not part of tier-1 (``testpaths`` names only ``tests``): it needs the
 compiled backend and fails without it.  Each scan draws a form (Lucas, Pell
 seed or Pell point), strong or not, parameters small, signed 64-bit or set
 to make a gate's constant zero, negative, even or just either side of
-2^63, and a window at 3, 512^2 +- 2,000, 2^32, 10^12 or 2^63 - 5,000 of
-1 to 2,200 odd n.  The compiled ``scan`` must return exactly what
-``_kernels_py.scan`` returns, in each of its shapes (the skip rows, the
-skips per reason and their JSON text).  A failure names its case, which
-reproduces with one call of each scan.
+2^63, and a window at 3, 512^2 +- 2,000, 4096^2 +- 2,000 (2^12 bounds the
+sieve's rank primes), 2^32 and 2^32 +- 2,000 (where the sieve stops being
+exact), 10^12 or 2^63 - 5,000, of 1 to 2,200 odd n.
+The compiled ``scan`` must return exactly what ``_kernels_py.scan``
+returns, in each of its shapes (the skip rows, the skips per reason and
+their JSON text).  A failure names its case, which reproduces with one
+call of each scan.  The compiled scan carries its sieve's state from one
+call to the next in each thread; a last case scans a window block by
+block, two blocks of one search and then two of another in turn, in each
+shape.
 """
 
 import random
@@ -20,11 +25,13 @@ from math import isqrt
 import pytest
 
 from pellucas import _kernels_py, kernels
+from pellucas.search import BLOCK_SPAN as BLOCK
 
 CHUNKS = 10
 SCANS_PER_CHUNK = 100
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
-ANCHORS = (3, 512**2 - 2000, 512**2 + 2000, 2**32, 10**12, 2**63 - 5000)
+ANCHORS = (3, 512**2 - 2000, 512**2 + 2000, 4096**2 - 2000, 4096**2 + 2000, 2**32 - 2000, 2**32,
+           2**32 + 2000, 10**12, 2**63 - 5000)
 # (d, x, y) with x^2 - d y^2 = 1 over the integers: on the conic mod every n
 SOLUTIONS = ((2, 3, 2), (3, 2, 1), (5, 9, 4), (6, 5, 2), (7, 8, 3), (29, 9801, 1820),
              (-3, 1, 0), (5, -1, 0))
@@ -98,3 +105,26 @@ def test_compiled_scan_matches_pure_scan(chunk):
             case = f"scan({kind!r}, {strong}, {params}, {lo}, {hi}, {keep!r})"
             expected = _kernels_py.scan(kind, strong, params, lo, hi, keep)
             assert compiled.scan(kind, strong, params, lo, hi, keep) == expected, case
+
+
+@pytest.mark.parametrize("chunk", range(CHUNKS))
+def test_compiled_scan_matches_pure_scan_block_by_block_between_two_searches(chunk):
+    compiled = kernels.backends().get("compiled")
+    assert compiled is not None, "build the extension first: python setup.py build_ext --inplace"
+    rng = random.Random(20261021 + chunk)
+    searches = []
+    for _ in range(2):
+        kind, draw = rng.choice(FORMS)
+        searches.append((kind, rng.random() < 0.5, draw(rng)))
+    lo = max(3, rng.choice(ANCHORS) + rng.randint(-2000, 2000))
+    lo = min(lo, I64_MAX - 6 * BLOCK)
+    # two blocks of one search, then the same two of the other, and so on:
+    # a search's second block goes on from its first, the next starts anew
+    calls = [(search, block) for run in range(lo, lo + 6 * BLOCK, 2 * BLOCK)
+             for search in searches for block in (run, run + BLOCK)]
+    for keep in ("rows", "reasons", "json"):
+        for (kind, strong, params), start in calls:
+            hi = start + BLOCK - 1
+            case = f"scan({kind!r}, {strong}, {params}, {start}, {hi}, {keep!r})"
+            expected = _kernels_py.scan(kind, strong, params, start, hi, keep)
+            assert compiled.scan(kind, strong, params, start, hi, keep) == expected, case

@@ -36,11 +36,11 @@
  * without it, into a C buffer of hits, so threads run those in parallel; a
  * window with no tested n keeps the GIL, as a handover would cost more.
  *
- * A sieve by the odd primes p below SIEVE_BOUND = 512 decides most tested
- * n before the ladder.  The lemma (Baillie and Wagstaff, "Lucas
- * pseudoprimes", Math. Comp. 35, 1980): for p not dividing Q, p | U_k
- * exactly when the rank of apparition w(p), the least j >= 1 with
- * p | U_j, divides k; and w(p) | p - (D/p) when p does not divide 2QD.
+ * A sieve by small odd primes p decides most tested n before the ladder.
+ * The lemma (Baillie and Wagstaff, "Lucas pseudoprimes", Math. Comp. 35,
+ * 1980): for p not dividing Q, p | U_k exactly when the rank of
+ * apparition w(p), the least j >= 1 with p | U_j, divides k; and
+ * w(p) | p - (D/p) when p does not divide 2QD.
  * On the paper's conic it is a group fact: mod p, x^2 - d y^2 = 1 under
  * the Brahmagupta product is a cyclic group of order p - (d/p), and
  * (x, y)^k = (V_k/2, y U_k) with p not dividing y has y U_k = 0 exactly
@@ -48,16 +48,30 @@
  * So a composite n with a factor p and w(p) not dividing k = n - (D/n) has
  * U_k != 0 mod p, hence mod n: CompositeDetected, with no ladder.  At
  * its first tested n, the scan marks each window of SIEVE_WINDOW odd n
- * with the odd multiples m != p of each p, one bit for w(p) not dividing
- * m - 1 and one for m + 1, and when hi < 512^2 a third bit for a factor
- * below 512.  Every odd composite below 512^2 has one, so there an
- * unmarked tested n is prime, with neither ladder nor Miller-Rabin;
- * 512^2 = 262144 covers the small-n range, 3..2*10^5.  The ranks come by
- * the recurrence from test_pq's P and Q mod p, and are 0 (no rank bit)
- * where the gates skip every multiple of p: where p divides a gate
- * constant or the point is off the conic mod p.  A one-entry memo, keyed
- * by the kind (Lucas, Pell seed or point) and the raw parameters, keeps
- * them from one call to the next, so a search pays for them once.
+ * with the odd multiples m != p of the odd primes p below RANK_BOUND =
+ * 2^12 that have such a multiple at or below hi, one bit for w(p) not
+ * dividing m - 1 and one for m + 1; and, when hi < 2^32, with those of the
+ * odd primes p <= isqrt(hi), a third bit for a small factor.  Every odd
+ * composite n <= hi has such a factor, so in such a call an unmarked
+ * tested n is prime, with neither ladder nor Miller-Rabin.  The cap at
+ * isqrt(hi) keeps a call at small n from paying for the primes up to
+ * 2^16.  Each rank is found as the order of a group element is: from
+ * j = p - (D/p), each prime factor q of j is struck while p | U_{j/q}
+ * (rank_of).  A rank is 0 (no
+ * rank bit) where the gates skip every multiple of p: where p divides a
+ * gate constant or the point is off the conic mod p.  A memo of the last
+ * RANK_MEMOS tests, keyed by the kind (Lucas, Pell seed or point) and the
+ * raw parameters, keeps them from one call to the next, so a search, or
+ * two searches taking turns, pay for them once.  Each thread carries each
+ * prime's offset to its next odd multiple, and that multiple mod w(p),
+ * from window to window and from call to call (the carry below), so the
+ * blocks of a search scanned in order pay one division per prime, not one
+ * per window.  Against a sieve by the odd primes below 512 alone, exact
+ * only below 512^2 and set up anew in each window, this one read per odd
+ * n 1.13-1.17x faster at 10^12 and 1.9-2.0x faster below 2^32 (Lucas P=3
+ * and the seed D=6 a=4, block by block, one core of a 2-core Xeon).  A
+ * RANK_BOUND of 2^13 or 2^14 read 1-4% faster again at 10^12, but set up
+ * the ranks of a new test in 0.85 or 1.9 ms, against 0.45 ms.
  *
  * A test is its P and Q, which test_pq gives mod any odd m, and the
  * integers its gates read, fixed for the whole search.  In gate order: for
@@ -121,10 +135,13 @@ static const struct {
 /* The scan's group size: it runs the V-ladder of this many n at once. */
 enum { LANES = 4 };
 
-/* The scan's sieve: the odd primes below SIEVE_BOUND, over windows of
- * SIEVE_WINDOW odd n.  Every odd composite below SIEVE_BOUND^2 = 262144
- * has a prime factor below SIEVE_BOUND. */
-enum { SIEVE_BOUND = 512, SIEVE_WINDOW = 1024 };
+/* The scan's sieve, over windows of SIEVE_WINDOW odd n: rank bits from the
+ * RANK_PRIMES odd primes below RANK_BOUND, and small-factor bits from the
+ * SMALL_PRIMES odd primes below SMALL_BOUND, of which a call with hi below
+ * SMALL_BOUND^2 = 2^32 takes those up to isqrt(hi).  Every odd composite
+ * n <= hi has a prime factor up to isqrt(hi). */
+enum { RANK_BOUND = 1 << 12, RANK_PRIMES = 563, SMALL_BOUND = 1 << 16, SMALL_PRIMES = 6541,
+       SIEVE_WINDOW = 1024 };
 
 static inline u64
 mulmod(u64 a, u64 b, u64 n)
@@ -604,38 +621,78 @@ on_conic(const long long *par, u128 conic, u64 n)
     return submod(mulmod(x, x, n), mulmod(d, mulmod(y, y, n), n), n) == 1;
 }
 
-/* The odd primes below SIEVE_BOUND, set by the module init. */
-static unsigned sieve_primes[SIEVE_BOUND / 2];
-static int sieve_count;
+/* The odd primes below SMALL_BOUND, in order: the first RANK_PRIMES of them
+ * are those below RANK_BOUND.  The first scan sets them, under the GIL, so
+ * that a process that only imports the module (a single test from the CLI)
+ * does not pay for them. */
+static unsigned short sieve_primes[SMALL_PRIMES];
 
 static void
 init_sieve_primes(void)
 {
-    unsigned char composite[SIEVE_BOUND] = {0};
-    for (unsigned p = 3; p < SIEVE_BOUND; p += 2) {
-        if (composite[p])
+    unsigned char composite[SMALL_BOUND / 2] = {0};  /* odd m at m / 2 */
+    int count = 0;
+    for (unsigned p = 3; p < SMALL_BOUND && count < SMALL_PRIMES; p += 2) {
+        if (composite[p / 2])
             continue;
-        sieve_primes[sieve_count++] = p;
-        for (unsigned m = p * p; m < SIEVE_BOUND; m += 2 * p)
-            composite[m] = 1;
+        sieve_primes[count++] = (unsigned short)p;
+        for (unsigned m = p * p; m < SMALL_BOUND; m += 2 * p)
+            composite[m / 2] = 1;
     }
 }
 
-/* The rank of apparition of the odd prime p in U(P, Q), the least j >= 1
- * with p | U_j, for P, Q < p and p not dividing QD; it divides p - (D/p),
- * so the recurrence meets it by j = p + 1 (0 if not, which cannot be). */
+/* How many of the first `count` sieve primes are at most x. */
+static int
+primes_upto(u64 x, int count)
+{
+    int lo = 0;
+    while (lo < count) {
+        int mid = (lo + count) / 2;
+        if (sieve_primes[mid] <= x)
+            lo = mid + 1;
+        else
+            count = mid;
+    }
+    return lo;
+}
+
+/* floor(sqrt(x)), by Newton's method on integers */
+static u64
+isqrt(u64 x)
+{
+    u64 r = x, s = x / 2 + (x & 1);
+    while (s < r) {
+        r = s;
+        s = (r + x / r) / 2;
+    }
+    return r;
+}
+
+/* The rank of apparition of the odd prime p < RANK_BOUND in U(P, Q), the
+ * least j >= 1 with p | U_j, for P, Q < p and p not dividing QD.  As p | U_k
+ * exactly when w(p) | k, and w(p) | p - (D/p), it is found as the order of
+ * a group element is (Cohen, GTM 138, 1.4): from j = p - (D/p), strike each
+ * prime factor q of j while p still divides U_{j/q}. */
 static unsigned
 rank_of(u64 P, u64 Q, u64 p)
 {
-    u64 u0 = 0, u1 = 1;
-    for (unsigned j = 1; j <= p + 1; j++) {
-        if (u1 == 0)
-            return j;
-        u64 t = (P * u1 + (p - Q) * u0) % p;  /* U_{j+1} = P U_j - Q U_{j-1} */
-        u0 = u1;
-        u1 = t;
+    int eps;
+    jacobi_gcd(submod(mulmod(P, P, p), mulmod(4, Q, p), p), p, &eps);
+    u64 j = eps > 0 ? p - 1 : p + 1, rest = j, u, v;
+    /* trial division by 2 and the odd primes: j <= RANK_BOUND, so every
+     * factor of rest above sqrt(rest) is the one prime left */
+    for (int i = -1; rest > 1; i++) {
+        u64 q = i < 0 ? 2 : sieve_primes[i];
+        if (q * q > rest)
+            q = rest;
+        if (rest % q)
+            continue;
+        while (rest % q == 0)
+            rest /= q;
+        while (j % q == 0 && (lucas_core(P, Q, j / q, p, &u, &v), u == 0))
+            j /= q;
     }
-    return 0;
+    return (unsigned)j;
 }
 
 /* P and Q of a scan's test mod the odd m: the Lucas (P, Q), or the Pell
@@ -672,68 +729,120 @@ test_rank(int lucas, int seed, const long long *par, const i128 *c, u128 conic, 
     return rank_of(P, Q, p);
 }
 
-/* The ranks of the last scan's test, one per sieve prime, keyed by its
- * kind (Lucas, Pell seed or Pell point) and its raw parameters: a search
- * scans block after block with one test, and pays for them once. */
-static struct {
-    int filled, lucas, seed;
+/* A scan's test as the memo and the carry key it: its kind (Lucas, Pell
+ * seed or Pell point) and its raw parameters, the unused ones 0. */
+typedef struct {
+    int lucas, seed;
     long long par[3];
-    unsigned short rank[SIEVE_BOUND / 2];
-} rank_memo;
+} test_key;
+
+/* The ranks of the last RANK_MEMOS tests scanned, each keyed by its test,
+ * for the first `filled` rank primes, and read and written only under the
+ * GIL: a search scans block after block with one test, or two searches
+ * take turns, and each pays for its ranks once.  A call asks only for the
+ * primes with an odd multiple other than p at or below its hi. */
+enum { RANK_MEMOS = 8 };
+static struct {
+    test_key key;
+    int filled;
+    unsigned short rank[RANK_PRIMES];
+} rank_memo[RANK_MEMOS];
+static int rank_memo_next;  /* the entry the next new test takes */
 
 static const unsigned short *
-test_ranks(int lucas, int seed, const long long *par, const i128 *c, u128 conic)
+test_ranks(const test_key *key, const i128 *c, u128 conic, int count)
 {
-    if (!(rank_memo.filled && rank_memo.lucas == lucas && rank_memo.seed == seed &&
-          memcmp(rank_memo.par, par, sizeof rank_memo.par) == 0)) {
-        for (int j = 0; j < sieve_count; j++)
-            rank_memo.rank[j] = (unsigned short)test_rank(lucas, seed, par, c, conic,
-                                                          sieve_primes[j]);
-        rank_memo.filled = 1;
-        rank_memo.lucas = lucas;
-        rank_memo.seed = seed;
-        memcpy(rank_memo.par, par, sizeof rank_memo.par);
+    int e = 0;
+    while (e < RANK_MEMOS && memcmp(&rank_memo[e].key, key, sizeof *key) != 0)
+        e++;
+    if (e == RANK_MEMOS) {
+        e = rank_memo_next;
+        rank_memo_next = (e + 1) % RANK_MEMOS;
+        rank_memo[e].key = *key;
+        rank_memo[e].filled = 0;
     }
-    return rank_memo.rank;
+    for (int j = rank_memo[e].filled; j < count; j++)
+        rank_memo[e].rank[j] = (unsigned short)test_rank(key->lucas, key->seed, key->par, c,
+                                                         conic, sieve_primes[j]);
+    if (rank_memo[e].filled < count)
+        rank_memo[e].filled = count;
+    return rank_memo[e].rank;
 }
 
 /* A window's marks on an odd n: that some prime p | n, p != n, has its rank
- * w(p) not dividing n - 1 (or n + 1), and, for an exact scan, that n has a
- * factor below SIEVE_BOUND. */
+ * w(p) not dividing n - 1 (or n + 1), and, below 2^32, that n has a factor
+ * up to isqrt(hi). */
 enum { RANK_NDIV_MINUS = 1, RANK_NDIV_PLUS = 2, SMALL_FACTOR = 4 };
 
+/* The sieve's state, carried from window to window and from call to call
+ * by each thread alone: for the first `primes` sieve primes p, off[j], the
+ * count of odd n from `next` to p's next odd multiple m != p, and for a
+ * rank prime of nonzero rank w, res[j] = m mod w and step[j] = 2p mod w.
+ * A window at `next` with the same test goes on from them, and sets up only
+ * the primes the last window did not use; any other window sets up all of
+ * its primes, with one division each (32-bit below 2^32) and two more for
+ * a rank prime.  So a search that scans its blocks in order divides once
+ * per prime, not once per window, as a segmented sieve does (Oliveira e
+ * Silva, Herzog and Pardi, Math. Comp. 83, 2014).  About 15 KB per
+ * thread. */
+static _Thread_local struct {
+    test_key key;
+    u64 next;
+    int primes;
+    unsigned short off[SMALL_PRIMES], res[RANK_PRIMES], step[RANK_PRIMES];
+} carry;
+
 /* Mark the odd n = w0 + 2i, i < width, with each odd multiple m != p of
- * each sieve prime p: RANK_NDIV_MINUS where w(p) does not divide m - 1,
- * RANK_NDIV_PLUS where it does not divide m + 1 (none where the rank is
- * 0), and if `exact` SMALL_FACTOR.  m mod w(p) steps with m, with no
- * division per mark. */
+ * the first `ranked` sieve primes, by their ranks: RANK_NDIV_MINUS where
+ * w(p) does not divide m - 1, RANK_NDIV_PLUS where it does not divide
+ * m + 1 (none where the rank is 0); and of the first `small` with
+ * SMALL_FACTOR.  m's offset and m mod w(p) step with m, with no division
+ * per mark, and carry over to the next window. */
 static void
-sieve_window(const unsigned short *rank, u64 w0, unsigned width, int exact,
-             unsigned char *flags)
+sieve_window(const test_key *key, const unsigned short *rank, int ranked, int small, u64 w0,
+             unsigned width, unsigned char *flags)
 {
-    memset(flags, 0, width);
-    for (int j = 0; j < sieve_count; j++) {
-        u64 p = sieve_primes[j], w = rank[j];
-        if (w == 0 && !exact)
-            continue;
-        u64 m = w0 + (p - w0 % p) % p;  /* the least multiple of p >= w0 */
+    int used = ranked > small ? ranked : small, j = 0;
+    if (carry.next == w0 && memcmp(&carry.key, key, sizeof *key) == 0)
+        j = carry.primes < used ? carry.primes : used;
+    else
+        carry.key = *key;
+    for (; j < used; j++) {
+        /* the least multiple m >= w0, with a 32-bit division below 2^32 */
+        u64 p = sieve_primes[j], r = w0 >> 32 ? w0 % p : (uint32_t)w0 % (uint32_t)p;
+        u64 m = r ? w0 + p - r : w0;
         if ((m & 1) == 0)
             m += p;
         if (m == p)
             m += 2 * p;
-        u64 i = (m - w0) >> 1, r = w ? m % w : 0, step = w ? 2 * p % w : 0;
-        unsigned char mark = exact ? SMALL_FACTOR : 0;
-        for (; i < width; i += p) {
-            unsigned char bits = mark;
-            if (w) {
-                bits |= (r != 1) * RANK_NDIV_MINUS | (r != w - 1) * RANK_NDIV_PLUS;
+        carry.off[j] = (unsigned short)((m - w0) >> 1);
+        if (j < ranked && rank[j]) {
+            carry.res[j] = (unsigned short)(m % rank[j]);
+            carry.step[j] = (unsigned short)((uint32_t)(2 * p) % rank[j]);
+        }
+    }
+    memset(flags, 0, width);
+    for (j = 0; j < used; j++) {
+        unsigned p = sieve_primes[j], i = carry.off[j], w = j < ranked ? rank[j] : 0;
+        unsigned char mark = j < small ? SMALL_FACTOR : 0;
+        if (w) {
+            unsigned r = carry.res[j], step = carry.step[j];
+            for (; i < width; i += p) {
+                flags[i] |= (unsigned char)(mark | (r != 1) * RANK_NDIV_MINUS |
+                                            (r != w - 1) * RANK_NDIV_PLUS);
                 r += step;
                 if (r >= w)
                     r -= w;
             }
-            flags[i] |= bits;
+            carry.res[j] = (unsigned short)r;
+        } else {
+            for (; i < width; i += p)
+                flags[i] |= mark;
         }
+        carry.off[j] = (unsigned short)(i - width);
     }
+    carry.next = w0 + 2 * (u64)width;
+    carry.primes = used;
 }
 
 enum { SKIP_JACOBI_ZERO, SKIP_GCD, SKIP_PHI_UNDEFINED, SKIP_NOT_ON_CONIC, SKIP_CODES };
@@ -776,13 +885,18 @@ put_json_item(char *out, u64 n, int code, u64 factor)
 
 /* Append Skip(n, reason, factor) to skips; factor 0 stands for None.  The
  * row is allocated as the tuple subclass it is, after its items, as
- * CPython's structseq does, with no call into Skip.__new__. */
+ * CPython's structseq does, with no call into Skip.__new__.  It holds an
+ * int, a str and an int or None, so it can be in no cycle: it stays out
+ * of the collector, as a plain tuple of atoms leaves it at its first
+ * collection (a subclass's never does), and PyObject_GC_NewVar, unlike
+ * tp_alloc, neither zeroes it nor tracks it.  Tracked, every collection
+ * that the scan's allocations set off would traverse it. */
 static int
 add_skip(PyObject *skips, u64 n, int code, u64 factor)
 {
     PyObject *pn = PyLong_FromUnsignedLongLong(n);
     PyObject *pf = factor ? PyLong_FromUnsignedLongLong(factor) : Py_NewRef(Py_None);
-    PyObject *row = pn && pf ? skip_type->tp_alloc(skip_type, 3) : NULL;
+    PyObject *row = pn && pf ? (PyObject *)PyObject_GC_NewVar(PyTupleObject, skip_type, 3) : NULL;
     if (row == NULL) {
         Py_XDECREF(pn);
         Py_XDECREF(pf);
@@ -791,11 +905,6 @@ add_skip(PyObject *skips, u64 n, int code, u64 factor)
     PyTuple_SET_ITEM(row, 0, pn);
     PyTuple_SET_ITEM(row, 1, Py_NewRef(PyTuple_GET_ITEM(skip_reasons, code)));
     PyTuple_SET_ITEM(row, 2, pf);
-    /* an int, a str and an int or None: the row can be in no cycle, so it
-     * leaves the collector, as a plain tuple of atoms does at its first
-     * collection (a subclass's never does); tracked, every collection the
-     * scan's allocations set off would traverse it */
-    PyObject_GC_UnTrack(row);
     int rc = PyList_Append(skips, row);
     Py_DECREF(row);
     return rc;
@@ -912,9 +1021,17 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                  lucas ? par[1] : seed ? 2 * (i128)par[1] : par[2],
                  lucas ? 1 : par[0]};
     u128 conic = lucas || seed ? 0 : conic_size(par);
-    unsigned short rank[SIEVE_BOUND / 2];  /* a copy: the memo is safe only under the GIL */
-    memcpy(rank, test_ranks(lucas, seed, par, c, conic), sizeof rank);
-    int exact = hi < (u64)SIEVE_BOUND * SIEVE_BOUND;
+    /* the sieve's primes: for ranks those with an odd multiple other than
+     * p at or below hi, and for a small factor those up to isqrt(hi), which
+     * make the call exact */
+    if (sieve_primes[0] == 0)
+        init_sieve_primes();
+    int exact = hi < (u64)SMALL_BOUND * SMALL_BOUND;
+    int ranked = primes_upto(hi / 3, RANK_PRIMES);
+    int small = exact ? primes_upto(isqrt(hi), SMALL_PRIMES) : 0;
+    test_key key = {lucas, seed, {par[0], par[1], par[2]}};
+    unsigned short rank[RANK_PRIMES];  /* a copy: the memo is safe only under the GIL */
+    memcpy(rank, test_ranks(&key, c, conic, ranked), (size_t)ranked * sizeof *rank);
     constant k[3];
     for (int j = 0; j < 3; j++)
         constant_init(&k[j], c[j], first);
@@ -967,7 +1084,8 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         unsigned char flags[SIEVE_WINDOW];
         group grp;
         int used = 0;  /* the lanes of grp filled so far */
-        sieve_window(rank, first + 2 * start, (unsigned)(end - start), exact, flags);
+        sieve_window(&key, rank, ranked, small, first + 2 * start, (unsigned)(end - start),
+                     flags);
         for (unsigned j = 0; j < tested; j++) {
             unsigned bits = flags[test[j] >> 1], plus = test[j] & 1;
             u64 n = first + 2 * (start + (test[j] >> 1)), p, q;
@@ -1146,8 +1264,6 @@ PyInit__kernels_c(void)
 {
     if (load_skip() < 0)
         return NULL;
-    if (sieve_count == 0)
-        init_sieve_primes();
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0)
         Py_CLEAR(m);

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -354,10 +356,47 @@ def test_ctrl_c_exits_130(capsys, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "main", interrupted)
-    with pytest.raises(SystemExit) as exit:
-        cli.console_main()
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        with pytest.raises(SystemExit) as exit:
+            cli.console_main()
+        # a second Ctrl-C is ignored from the first one's handler on
+        assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert exit.value.code == 130
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(kernels.BACKEND != "compiled",
+                    reason="compiled backend not built; run python setup.py build_ext --inplace")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc to see the search's threads, and two cores for them")
+@pytest.mark.parametrize("gap_ms", [1, 2, 5, 10])
+def test_second_ctrl_c_exits_130_without_a_traceback(gap_ms):
+    # a dense search at --workers 2 runs on two pool threads; the first
+    # SIGINT lands once they have started, the second while the search joins
+    # them or the interpreter ends
+    src = os.path.dirname(os.path.dirname(pellucas.__file__))
+    argv = ["enumerate", "lucas", "--p", "3", "--from", "4000000000000000000",
+            "--to", "4000000000400000000", "--workers", "2", "--format", "jsonl"]
+    proc = subprocess.Popen([sys.executable, "-m", "pellucas.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while len(os.listdir(f"/proc/{proc.pid}/task")) < 3:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        time.sleep(gap_ms / 1000)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err.decode()
+    assert b"Exception ignored" not in err and b"Traceback" not in err, err.decode()
 
 
 class Sink(io.TextIOBase):

@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels must agree with the pure ones."""
 
 import gc
+import pickle
 import random
 import tracemalloc
 from math import isqrt, prod
@@ -385,6 +386,50 @@ def test_rank_of_apparition_decides_u(p, P, Q, k):
     D = (P * P - 4 * Q) % p
     if D:
         assert (p - pure.jacobi(D, p)) % w == 0
+
+
+ODD_PRIMES_BELOW_RANK_BOUND = sorted(sieve_primes(3, 4096))
+
+
+def rank_by_order_finding(P, Q, p, lucas_uv):
+    """The compiled scan's rank: from p - (D/p), each prime factor struck
+    while p still divides U (Cohen, GTM 138, 1.4)."""
+    j = p - BACKENDS["pure"].jacobi((P * P - 4 * Q) % p, p)
+    rest, q = j, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            while j % q == 0 and lucas_uv(P, Q, j // q, p)[0] == 0:
+                j //= q
+        q += 1
+    return j
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES_BELOW_RANK_BOUND), P=SIGNED, Q=SIGNED)
+def test_order_finding_gives_the_rank_of_apparition(p, P, Q):
+    # for p not dividing QD, on both backends' lucas_uv
+    P, Q = P % p, Q % p
+    if Q == 0 or (P * P - 4 * Q) % p == 0:
+        return
+    for backend in BACKENDS.values():
+        assert rank_by_order_finding(P, Q, p, backend.lucas_uv) == rank_of_apparition(P, Q, p)
+
+
+@PAIRED
+def test_compiled_skip_rows_are_whole_untracked_tuples():
+    # each row is allocated untracked and not zeroed, then filled in: it
+    # must be a whole Skip, which the cyclic collector never traverses
+    Skip = BACKENDS["pure"].Skip
+    for kind, params in SKIPPING:
+        for row in BACKENDS["compiled"].scan(kind, False, params, 3, 3001)[1]:
+            assert type(row) is Skip and not gc.is_tracked(row)
+            plain = tuple(row)
+            assert len(row) == 3 and row == plain and hash(row) == hash(plain)
+            assert pickle.loads(pickle.dumps(row)) == row and row._replace() == row
 
 
 def test_mr_bound_exposed():

@@ -601,12 +601,28 @@ def test_scan_short_ranges(odd_count):
                     assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
 
 
-@pytest.mark.parametrize("lo, hi", [(512**2 - 401, 512**2 - 1), (512**2 - 399, 512**2 + 1),
-                                    (521**2 - 200, 521**2 + 200)])
+# Below 2^32 the compiled scan counts an n with no factor up to isqrt(hi)
+# as prime.  512^2 was the bound of a narrower sieve, and 521^2, the least
+# odd composite with no factor below 512, needs 521.  Then calls that end
+# at 2^32 - 1 and 2^32 + 1 and one across 2^32; 65519 is the largest prime
+# up to isqrt(65519 * 65521) = 65519, and 65521 the largest below 2^16,
+# the least factor of 65521 * 65537 < 2^32; 65537^2 is the least odd
+# composite with no factor below 2^16.  Last, composites whose least
+# factor is 4093, the largest of the rank primes below 2^12, or 4099, the
+# first prime above: below 2^32 their small factor marks them too, above
+# only the rank of 4093.
+EXACT_SIEVE_EDGES = [(512**2 - 401, 512**2 - 1), (512**2 - 399, 512**2 + 1),
+                     (521**2 - 200, 521**2 + 200), (2**32 - 401, 2**32 - 1),
+                     (2**32 - 399, 2**32 + 1), (2**32 - 2001, 2**32 + 2001),
+                     (65537**2 - 200, 65537**2 + 200)]
+EXACT_SIEVE_EDGES += [(n - 400, n) for n in (65519 * 65521, 65521 * 65537)]
+EXACT_SIEVE_EDGES += [(n - 300, n + 300) for n in (65519 * 65521, 65521 * 65537, 4093**2,
+                                                    4093 * 4099, 4099**2, 4093 * 1049387,
+                                                    4099 * 1047821)]
+
+
+@pytest.mark.parametrize("lo, hi", EXACT_SIEVE_EDGES)
 def test_scan_at_the_edge_of_the_exact_sieve(lo, hi):
-    # the compiled scan counts an n with no factor below 512 as prime when
-    # hi < 512**2, where every odd composite has such a factor; 521**2 is
-    # the least odd composite with none
     for kind, params in LANE_CASES:
         for strong in (False, True):
             expected = per_n_scan(kind, strong, params, lo, hi)
@@ -627,10 +643,11 @@ def test_scan_across_sieve_windows(lo):
 
 
 def test_scan_ranks_follow_the_test():
-    # the compiled scan keeps the last test's ranks; Lucas (3, 8) and the
-    # seed d = 3, a = 8 share their raw parameters, not their ranks.  A scan
-    # copies them before it lets other threads run: eight threads scanning
-    # two tests at once, handing the GIL over as often as they can, agree
+    # the compiled scan keeps the ranks of its last eight tests; Lucas
+    # (3, 8) and the seed d = 3, a = 8 share their raw parameters, not their
+    # ranks.  A scan copies them before it lets other threads run: eight
+    # threads scanning two tests at once, handing the GIL over as often as
+    # they can, agree
     for kind, params in (("lucas", LucasParams(3, 8)), ("pell", PellParams.from_seed(3, 8)),
                          ("lucas", LucasParams(3, 8))):
         for strong in (False, True):
@@ -647,6 +664,86 @@ def test_scan_ranks_follow_the_test():
     try:
         with ThreadPoolExecutor(8) as pool:
             assert list(pool.map(scan, cases)) == expected
+    finally:
+        sys.setswitchinterval(previous)
+
+
+# Lucas P=3 pseudoprimes with a prime factor in (512, 2^12), found with the
+# pure scan over 3..2*10^6.  Every prime factor p of such an n has a rank
+# that divides n - (5/n); a rank left a multiple of the true one (a prime
+# factor of p - (D/p) not struck) would call n CompositeDetected.
+RANKED_PSEUDOPRIMES = [25369, 36143, 45381, 52701, 53663, 78151, 103729, 118441, 124681,
+                       148849, 162133, 239257, 994517, 1081649, 1353451, 1949281]
+
+
+def test_scan_finds_pseudoprimes_with_a_factor_of_rank():
+    lucas = LucasParams(3, 1)
+    for n in RANKED_PSEUDOPRIMES:
+        expected = per_n_scan("lucas", False, lucas, n - 100, n + 100)
+        assert n in expected[0]
+        for name in BACKENDS:
+            assert backend_scan(name, "lucas", False, lucas, n - 100, n + 100) == expected, n
+
+
+def blocks(lo, count, span=2048):
+    return [(b, b + span - 1) for b in range(lo, lo + count * span, span)]
+
+
+L3, SEED64 = ("lucas", LucasParams(3, 1)), ("pell", PellParams.from_seed(6, 4))
+# (test, strong, lo, hi) calls, in the order one thread makes them
+CALL_SEQUENCES = {
+    # the small-n pattern: the sieve's primes grow with hi, call by call
+    "consecutive blocks from 3": [(*L3, False, lo, hi) for lo, hi in blocks(3, 12)],
+    # exact calls, then calls above 2^32, where the small-factor bit stops
+    "consecutive blocks across 2^32": [(*SEED64, False, lo, hi)
+                                       for lo, hi in blocks(2**32 - 5 * 2048, 9)],
+    "consecutive odd-sized calls": [(*L3, False, lo, hi)
+                                    for lo, hi in blocks(10**12 + 1, 6, span=1234)],
+    "two searches interleaved": [(*test, False, lo, hi) for lo, hi in blocks(2**32 - 8192, 4)
+                                 for test in (L3, SEED64)],
+    # each call starts at the odd n where the other test's call ended; a
+    # sieve state of the wrong test could only hide a pseudoprime, and
+    # these blocks hold dozens
+    "two searches taking turns block by block": [(*(L3, SEED64)[i % 2], False, lo, hi)
+                                                 for i, (lo, hi) in enumerate(blocks(3, 40))],
+    "a gap": [(*L3, False, lo, hi) for lo, hi in blocks(10**12 + 1, 6)[::2]],
+    "a step backwards": [(*L3, False, lo, hi) for lo, hi in blocks(2**32 - 8192, 4)[::-1]],
+    "strong flipped": [(*SEED64, i % 2 == 1, lo, hi)
+                       for i, (lo, hi) in enumerate(blocks(10**12 + 1, 4))],
+}
+
+
+@pytest.mark.parametrize("sequence", sorted(CALL_SEQUENCES))
+def test_scan_call_sequences_in_one_thread(sequence):
+    # the compiled scan carries its sieve's offsets from one call to the
+    # next in each thread, for the same test and the next odd n; each call
+    # must still give what the pure scan gives
+    for kind, params, strong, lo, hi in CALL_SEQUENCES[sequence]:
+        case = f"scan({kind!r}, {strong}, {params}, {lo}, {hi})"
+        assert kernels.scan(kind, strong, params, lo, hi) == \
+            _kernels_py.scan(kind, strong, params, lo, hi), case
+
+
+@pytest.mark.skipif(kernels.BACKEND != "compiled",
+                    reason="compiled backend not built; run python setup.py build_ext --inplace")
+def test_scan_carries_per_thread():
+    # four threads scan consecutive blocks of four searches at once, each
+    # carrying its own sieve state, and agree with one thread's scans; the
+    # pure scan keeps no state, and would take seconds
+    starts = (2**32 - 8 * 4096, 10**12 + 1)
+
+    def run(case):
+        (kind, params), start = case
+        return [kernels.scan(kind, False, params, lo, hi, "reasons")
+                for lo, hi in blocks(start, 8, span=4096)]
+
+    cases = [(test, start) for test in (L3, SEED64) for start in starts]
+    expected = list(map(run, cases))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(run, cases * 4)) == expected * 4
     finally:
         sys.setswitchinterval(previous)
 
