@@ -14,17 +14,20 @@ The compiled ``scan`` must return exactly what ``_kernels_py.scan``
 returns, in each of its shapes (the skip rows, the skips per reason and
 their JSON text).  A failure names its case, which reproduces with one
 call of each scan.  The compiled scan carries its sieve's state from one
-call to the next in each thread; a last case scans a window block by
-block, two blocks of one search and then two of another in turn, in each
-shape.
+call to the next in each thread; a case scans a window block by block,
+two blocks of one search and then two of another in turn, in each shape.
+A last case makes one call from 3 to just past 43,711^2 and checks it
+against two calls that split it: about two minutes on one core.
 """
 
 import random
 from math import isqrt
+from operator import add
 
 import pytest
 
 from pellucas import _kernels_py, kernels
+from pellucas.lucas import LucasParams
 from pellucas.search import BLOCK_SPAN as BLOCK
 
 CHUNKS = 10
@@ -128,3 +131,21 @@ def test_compiled_scan_matches_pure_scan_block_by_block_between_two_searches(chu
             case = f"scan({kind!r}, {strong}, {params}, {start}, {hi}, {keep!r})"
             expected = _kernels_py.scan(kind, strong, params, start, hi, keep)
             assert compiled.scan(kind, strong, params, start, hi, keep) == expected, case
+
+
+def test_one_wide_compiled_call_equals_two_that_split_it():
+    # the sieve marks p itself, so each prime's offset stays below p.  Had
+    # it stepped past p to 3p, a call from lo <= p would set p up 3p/2 odd
+    # n on, past 16 bits from p = 43,711, and call Prime the composites
+    # whose least factor is such a p: all at or above 43,711^2, so only one
+    # call this wide reaches them.  The second of the two calls starts
+    # above every sieve prime
+    compiled = kernels.backends().get("compiled")
+    assert compiled is not None, "build the extension first: python setup.py build_ext --inplace"
+    lucas, hi = LucasParams(3, 1), 43711**2 + 2000
+    wide = compiled.scan("lucas", False, lucas, 3, hi, "reasons")
+    low = compiled.scan("lucas", False, lucas, 3, 2**17 - 1, "reasons")
+    high = compiled.scan("lucas", False, lucas, 2**17 + 1, hi, "reasons")
+    assert wide[0] == low[0] + high[0]
+    assert wide[1] == tuple(map(add, low[1], high[1]))
+    assert wide[2] == tuple(map(add, low[2], high[2]))

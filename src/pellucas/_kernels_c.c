@@ -48,21 +48,24 @@
  * So a composite n with a factor p and w(p) not dividing k = n - (D/n) has
  * U_k != 0 mod p, hence mod n: CompositeDetected, with no ladder.  At
  * its first tested n, the scan marks each window of SIEVE_WINDOW odd n
- * with the odd multiples m != p of the odd primes p below RANK_BOUND =
- * 2^12 that have such a multiple at or below hi, one bit for w(p) not
+ * with the odd multiples m of the odd primes p below RANK_BOUND = 2^12
+ * that have one other than p at or below hi, one bit for w(p) not
  * dividing m - 1 and one for m + 1; and, when hi < 2^32, with those of the
  * odd primes p <= isqrt(hi), a third bit for a small factor.  Every odd
  * composite n <= hi has such a factor, so in such a call an unmarked
- * tested n is prime, with neither ladder nor Miller-Rabin.  The cap at
+ * tested n is prime, with neither ladder nor Miller-Rabin.  p itself
+ * takes no rank bit for its own k = p - (D/p), which w(p) divides, and
+ * its small-factor bit sends it to the ladder, which calls it prime: so
+ * the sieve need not step past it, and no offset reaches p.  The cap at
  * isqrt(hi) keeps a call at small n from paying for the primes up to
  * 2^16.  Each rank is found as the order of a group element is: from
  * j = p - (D/p), each prime factor q of j is struck while p | U_{j/q}
- * (rank_of).  A rank is 0 (no
- * rank bit) where the gates skip every multiple of p: where p divides a
- * gate constant or the point is off the conic mod p.  A memo of the last
- * RANK_MEMOS tests, keyed by the kind (Lucas, Pell seed or point) and the
- * raw parameters, keeps them from one call to the next, so a search, or
- * two searches taking turns, pay for them once.  Each thread carries each
+ * (rank_of).  A rank is 0, and its prime marks nothing, where the gates
+ * skip every multiple of p: where p divides a gate constant or the point
+ * is off the conic mod p.  A memo of the last RANK_MEMOS tests, keyed by
+ * the kind (Lucas, Pell seed or point) and the raw parameters, keeps them
+ * from one call to the next, so a search, or two searches taking turns,
+ * pay for them once.  Each thread carries each
  * prime's offset to its next odd multiple, and that multiple mod w(p),
  * from window to window and from call to call (the carry below), so the
  * blocks of a search scanned in order pay one division per prime, not one
@@ -769,34 +772,38 @@ test_ranks(const test_key *key, const i128 *c, u128 conic, int count)
     return rank_memo[e].rank;
 }
 
-/* A window's marks on an odd n: that some prime p | n, p != n, has its rank
- * w(p) not dividing n - 1 (or n + 1), and, below 2^32, that n has a factor
- * up to isqrt(hi). */
+/* A window's marks on an odd n: that some prime p | n has its rank w(p)
+ * not dividing n - 1 (or n + 1), and, below 2^32, that n has a factor up
+ * to isqrt(hi), which may be n itself. */
 enum { RANK_NDIV_MINUS = 1, RANK_NDIV_PLUS = 2, SMALL_FACTOR = 4 };
 
 /* The sieve's state, carried from window to window and from call to call
- * by each thread alone: for the first `primes` sieve primes p, off[j], the
- * count of odd n from `next` to p's next odd multiple m != p, and for a
- * rank prime of nonzero rank w, res[j] = m mod w and step[j] = 2p mod w.
+ * by each thread alone: for the first `primes` sieve primes p of nonzero
+ * rank w, off[j] < p, the count of odd n from `next` to p's next odd
+ * multiple m, res[j] = m mod w and step[j] = 2p mod w.
  * A window at `next` with the same test goes on from them, and sets up only
  * the primes the last window did not use; any other window sets up all of
  * its primes, with one division each (32-bit below 2^32) and two more for
  * a rank prime.  So a search that scans its blocks in order divides once
  * per prime, not once per window, as a segmented sieve does (Oliveira e
  * Silva, Herzog and Pardi, Math. Comp. 83, 2014).  About 15 KB per
- * thread. */
+ * thread: 32-bit offsets took the sieve's tables past a 48 KB L1 cache,
+ * and about 1.5x the time per odd n below 2^32. */
 static _Thread_local struct {
     test_key key;
     u64 next;
     int primes;
     unsigned short off[SMALL_PRIMES], res[RANK_PRIMES], step[RANK_PRIMES];
 } carry;
+_Static_assert(SMALL_BOUND <= 1 << (8 * sizeof carry.off[0]), "an offset below p fits carry.off");
 
-/* Mark the odd n = w0 + 2i, i < width, with each odd multiple m != p of
- * the first `ranked` sieve primes, by their ranks: RANK_NDIV_MINUS where
+/* Mark the odd n = w0 + 2i, i < width, with each odd multiple m of the
+ * first `ranked` sieve primes, by their ranks: RANK_NDIV_MINUS where
  * w(p) does not divide m - 1, RANK_NDIV_PLUS where it does not divide
- * m + 1 (none where the rank is 0); and of the first `small` with
- * SMALL_FACTOR.  m's offset and m mod w(p) step with m, with no division
+ * m + 1; and of the first `small` with SMALL_FACTOR.  A prime of rank 0
+ * marks nothing, in this window or any later one of its test: the gates
+ * skip every multiple of it, so a tested composite n still has its least
+ * factor marked.  m's offset and m mod w(p) step with m, with no division
  * per mark, and carry over to the next window. */
 static void
 sieve_window(const test_key *key, const unsigned short *rank, int ranked, int small, u64 w0,
@@ -808,22 +815,25 @@ sieve_window(const test_key *key, const unsigned short *rank, int ranked, int sm
     else
         carry.key = *key;
     for (; j < used; j++) {
+        if (j < ranked && rank[j] == 0)
+            continue;
         /* the least multiple m >= w0, with a 32-bit division below 2^32 */
         u64 p = sieve_primes[j], r = w0 >> 32 ? w0 % p : (uint32_t)w0 % (uint32_t)p;
         u64 m = r ? w0 + p - r : w0;
         if ((m & 1) == 0)
             m += p;
-        if (m == p)
-            m += 2 * p;
         carry.off[j] = (unsigned short)((m - w0) >> 1);
-        if (j < ranked && rank[j]) {
+        if (j < ranked) {
             carry.res[j] = (unsigned short)(m % rank[j]);
             carry.step[j] = (unsigned short)((uint32_t)(2 * p) % rank[j]);
         }
     }
     memset(flags, 0, width);
     for (j = 0; j < used; j++) {
-        unsigned p = sieve_primes[j], i = carry.off[j], w = j < ranked ? rank[j] : 0;
+        unsigned w = j < ranked ? rank[j] : 0;
+        if (j < ranked && w == 0)
+            continue;
+        unsigned p = sieve_primes[j], i = carry.off[j];
         unsigned char mark = j < small ? SMALL_FACTOR : 0;
         if (w) {
             unsigned r = carry.res[j], step = carry.step[j];

@@ -326,8 +326,10 @@ def console_main():
         # into the late close of a search's generator (which joins its worker
         # threads once this handler drops the traceback) or the interpreter's
         # join of the threads at exit; exit as SIGINT would.  _signal is the
-        # C module behind signal, loaded at start-up: importing signal, for
-        # its enums, would cost every CLI call about 0.7 ms
+        # C module behind signal, already loaded at start-up and running no
+        # Python code, so SIG_IGN is in force a few bytecodes after the first
+        # Ctrl-C; importing signal would first run its module code, about
+        # 0.7 ms in which a second Ctrl-C would raise inside this handler
         import _signal
 
         _signal.signal(_signal.SIGINT, _signal.SIG_IGN)

@@ -710,6 +710,10 @@ CALL_SEQUENCES = {
     "a step backwards": [(*L3, False, lo, hi) for lo, hi in blocks(2**32 - 8192, 4)[::-1]],
     "strong flipped": [(*SEED64, i % 2 == 1, lo, hi)
                        for i, (lo, hi) in enumerate(blocks(10**12 + 1, 4))],
+    # Q = 1009 gives the prime 1009 rank 0, so it marks nothing; isqrt(hi)
+    # passes it between these blocks, which must still agree
+    "a rank-0 prime entering the small factors": [
+        ("lucas", LucasParams(3, 1009), False, lo, hi) for lo, hi in blocks(1009**2 - 4095, 4)],
 }
 
 
