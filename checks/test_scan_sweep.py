@@ -8,16 +8,22 @@ compiled backend and fails without it.  Each scan draws a form (Lucas, Pell
 seed or Pell point), strong or not, parameters small, signed 64-bit or set
 to make a gate's constant zero, negative, even or just either side of
 2^63, and a window at 3, 512^2 +- 2,000, 4096^2 +- 2,000 (2^12 bounds the
-sieve's rank primes), 2^32 and 2^32 +- 2,000 (where the sieve stops being
-exact), 10^12 or 2^63 - 5,000, of 1 to 2,200 odd n.
+sieve's rank primes), 2^32 and 2^32 +- 2,000 (where a narrower exact
+sieve stopped), 10^12, 2^40 +- 2,000 (where the sieve stops being exact),
+1048571 * 1048573 (the product of the two largest primes below 2^20) or
+2^63 - 5,000, of 1 to 2,200 odd n.
 The compiled ``scan`` must return exactly what ``_kernels_py.scan``
 returns, in each of its shapes (the skip rows, the skips per reason and
 their JSON text).  A failure names its case, which reproduces with one
 call of each scan.  The compiled scan carries its sieve's state from one
 call to the next in each thread; a case scans a window block by block,
 two blocks of one search and then two of another in turn, in each shape.
-A last case makes one call from 3 to just past 43,711^2 and checks it
-against two calls that split it: about two minutes on one core.
+A case makes one call from 3 to just past 43,711^2 and checks it
+against two calls that split it: about two minutes on one core.  A last
+one makes one call over 2^23 integers from 10^12, two turns of the bucket
+ring of the primes above 2^12, and checks it against the same range
+scanned block by block, against two calls split at an odd point, and its
+Prime count against an independent sieve.
 """
 
 import random
@@ -34,7 +40,7 @@ CHUNKS = 10
 SCANS_PER_CHUNK = 100
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 ANCHORS = (3, 512**2 - 2000, 512**2 + 2000, 4096**2 - 2000, 4096**2 + 2000, 2**32 - 2000, 2**32,
-           2**32 + 2000, 10**12, 2**63 - 5000)
+           2**32 + 2000, 10**12, 2**40 - 2000, 2**40 + 2000, 1048571 * 1048573, 2**63 - 5000)
 # (d, x, y) with x^2 - d y^2 = 1 over the integers: on the conic mod every n
 SOLUTIONS = ((2, 3, 2), (3, 2, 1), (5, 9, 4), (6, 5, 2), (7, 8, 3), (29, 9801, 1820),
              (-3, 1, 0), (5, -1, 0))
@@ -149,3 +155,41 @@ def test_one_wide_compiled_call_equals_two_that_split_it():
     assert wide[0] == low[0] + high[0]
     assert wide[1] == tuple(map(add, low[1], high[1]))
     assert wide[2] == tuple(map(add, low[2], high[2]))
+
+
+def test_one_long_compiled_call_equals_its_blocks():
+    # the primes above 2^12 up to 10^6 wait in a ring of 2048 buckets, one
+    # per window of 1024 odd n, so 2^23 integers turn it twice.  One call,
+    # the blocks of a search, and two calls that split the range at an odd
+    # n (the second starts off the windows of the first) must agree
+    compiled = kernels.backends().get("compiled")
+    assert compiled is not None, "build the extension first: python setup.py build_ext --inplace"
+    lucas, lo, hi = LucasParams(3, 1), 10**12, 10**12 + 2**23
+    wide = compiled.scan("lucas", False, lucas, lo, hi, "reasons")
+    blocks = [compiled.scan("lucas", False, lucas, b, min(b + BLOCK - 1, hi), "reasons")
+              for b in range(lo, hi + 1, BLOCK)]
+    split = lo + 2**22 + 2 * 777 + 1
+    halves = [compiled.scan("lucas", False, lucas, lo, split - 2, "reasons"),
+              compiled.scan("lucas", False, lucas, split, hi, "reasons")]
+    for parts in (blocks, halves):
+        assert list(wide[0]) == [n for part in parts for n in part[0]]
+        for j in (1, 2):
+            assert wide[j] == tuple(map(sum, zip(*(part[j] for part in parts))))
+    # every prime n in the range passes the gates ((5/n) = 0 only for 5), so
+    # the Prime count is the number of primes, by an independent sieve
+    assert wide[2][0] == len(primes_between(lo, hi))
+
+
+def primes_between(lo, hi):
+    """The primes in [lo, hi], lo > isqrt(hi), by a segmented sieve."""
+    root = isqrt(hi)
+    small = bytearray([1]) * (root + 1)
+    small[:2] = b"\0\0"
+    for p in range(2, isqrt(root) + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+    segment = bytearray([1]) * (hi - lo + 1)
+    for p in (p for p in range(2, root + 1) if small[p]):
+        start = -lo % p
+        segment[start::p] = bytes(len(range(start, hi - lo + 1, p)))
+    return [lo + i for i, flag in enumerate(segment) if flag]

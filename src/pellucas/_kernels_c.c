@@ -50,31 +50,38 @@
  * its first tested n, the scan marks each window of SIEVE_WINDOW odd n
  * with the odd multiples m of the odd primes p below RANK_BOUND = 2^12
  * that have one other than p at or below hi, one bit for w(p) not
- * dividing m - 1 and one for m + 1; and, when hi < 2^32, with those of the
+ * dividing m - 1 and one for m + 1; and, when hi < 2^40, with those of the
  * odd primes p <= isqrt(hi), a third bit for a small factor.  Every odd
  * composite n <= hi has such a factor, so in such a call an unmarked
- * tested n is prime, with neither ladder nor Miller-Rabin.  p itself
- * takes no rank bit for its own k = p - (D/p), which w(p) divides, and
- * its small-factor bit sends it to the ladder, which calls it prime: so
- * the sieve need not step past it, and no offset reaches p.  The cap at
+ * tested n is prime, with neither ladder nor Miller-Rabin, and a marked n
+ * above isqrt(hi) is composite: no tested n above isqrt(hi) runs
+ * Miller-Rabin.  p itself takes no rank bit for its own k = p - (D/p),
+ * which w(p) divides, and its small-factor bit sends it to the ladder,
+ * which calls it prime: so the sieve need not step past it, and no offset
+ * reaches p.  The cap at
  * isqrt(hi) keeps a call at small n from paying for the primes up to
- * 2^16.  Each rank is found as the order of a group element is: from
+ * 2^20.  Each rank is found as the order of a group element is: from
  * j = p - (D/p), each prime factor q of j is struck while p | U_{j/q}
  * (rank_of).  A rank is 0, and its prime marks nothing, where the gates
  * skip every multiple of p: where p divides a gate constant or the point
  * is off the conic mod p.  A memo of the last RANK_MEMOS tests, keyed by
  * the kind (Lucas, Pell seed or point) and the raw parameters, keeps them
  * from one call to the next, so a search, or two searches taking turns,
- * pay for them once.  Each thread carries each
- * prime's offset to its next odd multiple, and that multiple mod w(p),
- * from window to window and from call to call (the carry below), so the
- * blocks of a search scanned in order pay one division per prime, not one
- * per window.  Against a sieve by the odd primes below 512 alone, exact
- * only below 512^2 and set up anew in each window, this one read per odd
- * n 1.13-1.17x faster at 10^12 and 1.9-2.0x faster below 2^32 (Lucas P=3
- * and the seed D=6 a=4, block by block, one core of a 2-core Xeon).  A
- * RANK_BOUND of 2^13 or 2^14 read 1-4% faster again at 10^12, but set up
- * the ranks of a new test in 0.85 or 1.9 ms, against 0.45 ms.
+ * pay for them once.  The rank primes step through every window; each
+ * larger prime, which hits a window at most once, waits in a bucket for
+ * the window of its next odd multiple (a bucket sieve), so a window
+ * touches only the primes that hit it.  Each thread carries each rank
+ * prime's offset to its next odd multiple, that multiple mod w(p), and its
+ * buckets from window to window and from call to call (the carry below),
+ * so the blocks of a search scanned in order set each prime up once, not
+ * once per window.  Against a sieve exact only below 2^32, which passed
+ * every prime up to 2^16 over every window, this one read per odd n
+ * 1.56-1.65x faster at 10^12 and 1.21-1.26x faster below 2^32 (Lucas P=3
+ * and the seed D=6 a=4, block by block, one core of a 2-core Xeon); at
+ * 10^12 a search of 20 blocks spends about a quarter of its time setting
+ * up the 78,000 bucket primes.  A RANK_BOUND of 2^13 or 2^14 read 1-4%
+ * faster at 10^12 than 2^12 with the narrower sieve, but set up the ranks
+ * of a new test in 0.85 or 1.9 ms, against 0.45 ms.
  *
  * A test is its P and Q, which test_pq gives mod any odd m, and the
  * integers its gates read, fixed for the whole search.  In gate order: for
@@ -102,7 +109,9 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 typedef uint64_t u64;
@@ -140,11 +149,13 @@ enum { LANES = 4 };
 
 /* The scan's sieve, over windows of SIEVE_WINDOW odd n: rank bits from the
  * RANK_PRIMES odd primes below RANK_BOUND, and small-factor bits from the
- * SMALL_PRIMES odd primes below SMALL_BOUND, of which a call with hi below
- * SMALL_BOUND^2 = 2^32 takes those up to isqrt(hi).  Every odd composite
- * n <= hi has a prime factor up to isqrt(hi). */
+ * LARGE_PRIMES odd primes below LARGE_BOUND, of which a call with hi below
+ * LARGE_BOUND^2 = 2^40 takes those up to isqrt(hi).  Every odd composite
+ * n <= hi has a prime factor up to isqrt(hi).  The first SMALL_PRIMES of
+ * them, below SMALL_BOUND, are held in 16 bits. */
 enum { RANK_BOUND = 1 << 12, RANK_PRIMES = 563, SMALL_BOUND = 1 << 16, SMALL_PRIMES = 6541,
-       SIEVE_WINDOW = 1024 };
+       LARGE_BOUND = 1 << 20, LARGE_PRIMES = 82024, WINDOW_BITS = 10,
+       SIEVE_WINDOW = 1 << WINDOW_BITS };
 
 static inline u64
 mulmod(u64 a, u64 b, u64 n)
@@ -644,6 +655,44 @@ init_sieve_primes(void)
     }
 }
 
+/* The odd primes from SMALL_BOUND to LARGE_BOUND, sieve primes SMALL_PRIMES
+ * on, each as half its gap from the one before (at most 57 below 2^20), in
+ * 75 KB.  Only a call whose exact bound isqrt(hi) passes SMALL_BOUND
+ * needs them, and the first such call sets them, under the GIL, by
+ * sieving the odd n between the bounds with the odd primes below 2^10, a
+ * bit per n, and reading the primes off each word; -1 with an exception
+ * set where there is no memory. */
+static unsigned char large_gaps[LARGE_PRIMES - SMALL_PRIMES];
+static int large_gaps_set;
+
+static int
+init_large_gaps(void)
+{
+    enum { ODD = (LARGE_BOUND - SMALL_BOUND) / 2 };  /* the odd n = SMALL_BOUND + 1 + 2i */
+    u64 *composite = calloc(ODD / 64, sizeof *composite);
+    unsigned last = sieve_primes[SMALL_PRIMES - 1];
+    int count = 0;
+    if (composite == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (int j = 0; sieve_primes[j] < 1 << 10; j++) {
+        unsigned p = sieve_primes[j], m = (SMALL_BOUND + p) / p * p;
+        for (m += (m & 1) ? 0 : p; m < LARGE_BOUND; m += 2 * p)
+            composite[(m - SMALL_BOUND) / 128] |= (u64)1 << ((m - SMALL_BOUND) / 2 % 64);
+    }
+    for (unsigned w = 0; w < ODD / 64; w++)
+        for (u64 primes = ~composite[w]; primes && count < LARGE_PRIMES - SMALL_PRIMES;
+             primes &= primes - 1) {
+            unsigned n = SMALL_BOUND + 1 + 2 * (64 * w + (unsigned)__builtin_ctzll(primes));
+            large_gaps[count++] = (unsigned char)((n - last) / 2);
+            last = n;
+        }
+    free(composite);
+    large_gaps_set = 1;
+    return 0;
+}
+
 /* How many of the first `count` sieve primes are at most x. */
 static int
 primes_upto(u64 x, int count)
@@ -773,44 +822,189 @@ test_ranks(const test_key *key, const i128 *c, u128 conic, int count)
 }
 
 /* A window's marks on an odd n: that some prime p | n has its rank w(p)
- * not dividing n - 1 (or n + 1), and, below 2^32, that n has a factor up
+ * not dividing n - 1 (or n + 1), and, below 2^40, that n has a factor up
  * to isqrt(hi), which may be n itself. */
 enum { RANK_NDIV_MINUS = 1, RANK_NDIV_PLUS = 2, SMALL_FACTOR = 4 };
 
 /* The sieve's state, carried from window to window and from call to call
- * by each thread alone: for the first `primes` sieve primes p of nonzero
- * rank w, off[j] < p, the count of odd n from `next` to p's next odd
- * multiple m, res[j] = m mod w and step[j] = 2p mod w.
+ * by each thread alone, in two tiers: the rank primes, below RANK_BOUND,
+ * step through each window, and each larger prime, which hits a window at
+ * most once, waits in a bucket for the window of its next odd multiple.
+ * For the first `primes` sieve primes p of nonzero rank w, off[j] < p is
+ * the count of odd n from `next` to p's next odd multiple m,
+ * res[j] = m mod w and step[j] = 2p mod w; the buckets hold the sieve
+ * primes from RANK_PRIMES to `large` (none where `large` is 0).
  * A window at `next` with the same test goes on from them, and sets up only
- * the primes the last window did not use; any other window sets up all of
- * its primes, with one division each (32-bit below 2^32) and two more for
- * a rank prime.  So a search that scans its blocks in order divides once
- * per prime, not once per window, as a segmented sieve does (Oliveira e
- * Silva, Herzog and Pardi, Math. Comp. 83, 2014).  About 15 KB per
- * thread: 32-bit offsets took the sieve's tables past a 48 KB L1 cache,
- * and about 1.5x the time per odd n below 2^32. */
+ * the primes the last window did not use; any other window empties the
+ * buckets and sets up all of its primes, a rank prime with three
+ * divisions (one 32-bit below 2^32), a bucket prime with a quotient
+ * (buckets_add).  So a search that scans its blocks in order sets each
+ * prime up once, not once per window, as a segmented sieve does
+ * (Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  About
+ * 3.5 KB per thread, and the thread's buckets. */
 static _Thread_local struct {
     test_key key;
     u64 next;
-    int primes;
-    unsigned short off[SMALL_PRIMES], res[RANK_PRIMES], step[RANK_PRIMES];
+    int primes, large;
+    unsigned short off[RANK_PRIMES], res[RANK_PRIMES], step[RANK_PRIMES];
 } carry;
-_Static_assert(SMALL_BOUND <= 1 << (8 * sizeof carry.off[0]), "an offset below p fits carry.off");
+_Static_assert(RANK_BOUND <= 1 << (8 * sizeof carry.off[0]), "an offset below p fits carry.off");
+
+/* The bucket sieve (Oliveira e Silva, Herzog and Pardi, 2014): windows of
+ * SIEVE_WINDOW odd n on a grid from `origin`, the odd index n >> 1 at
+ * which the buckets were set up, and a ring of BUCKET_RING buckets, bucket
+ * c mod BUCKET_RING for window c of the grid.  A prime p < LARGE_BOUND
+ * waits in the bucket of its next odd multiple as one word: p << WINDOW_BITS
+ * and the multiple's place in that window.  Every word lies within
+ * 2 + LARGE_BOUND / SIEVE_WINDOW windows of the one being sieved, so the
+ * ring never wraps onto a word.  A bucket is a list of chunks of
+ * BUCKET_CHUNK words: the one being filled, with `fill` words, then full
+ * ones.  They come from one pool per thread, with room for every bucket
+ * prime in full chunks, a partial chunk in every bucket and the list
+ * being emptied: 0.6 MB of address space, of which a thread touches only
+ * the chunks it fills (about 0.4 MB at 2^40, 30 KB below 2^32).  The pool
+ * is freed with its thread. */
+enum { BUCKET_RING = 2048, BUCKET_CHUNK = 31,
+       BUCKET_CHUNKS = (LARGE_PRIMES - RANK_PRIMES) / BUCKET_CHUNK + BUCKET_RING + 4 };
+_Static_assert(BUCKET_RING > 2 + LARGE_BOUND / SIEVE_WINDOW, "the ring outruns every prime");
+_Static_assert((u64)LARGE_BOUND << WINDOW_BITS <= (u64)1 << 32, "a bucket word fits 32 bits");
+typedef struct {
+    uint32_t next;  /* the chunk after this one in its bucket; 0 ends it */
+    uint32_t word[BUCKET_CHUNK];
+} bucket_chunk;
+typedef struct {
+    u64 origin, last;                 /* last: the largest prime in a bucket */
+    uint32_t free, fresh;             /* freed chunks (a list); the first never used */
+    uint32_t head[BUCKET_RING];       /* each bucket's chunk being filled; 0 for none */
+    unsigned char fill[BUCKET_RING];  /* its words; BUCKET_CHUNK where none */
+    bucket_chunk pool[BUCKET_CHUNKS]; /* pool[0] is never used */
+} buckets;
+
+static pthread_key_t buckets_key;  /* each thread's buckets, freed as it ends */
+
+/* The calling thread's buckets, made at its first call that needs them;
+ * NULL with an exception set where there is no memory.  Under the GIL. */
+static buckets *
+thread_buckets(void)
+{
+    buckets *b = pthread_getspecific(buckets_key);
+    if (b == NULL) {
+        b = malloc(sizeof *b);
+        if (b == NULL || pthread_setspecific(buckets_key, b) != 0) {
+            free(b);
+            PyErr_NoMemory();
+            return NULL;
+        }
+    }
+    return b;
+}
+
+static void
+buckets_empty(buckets *b, u64 origin)
+{
+    b->origin = origin;
+    b->free = 0;
+    b->fresh = 1;
+    memset(b->head, 0, sizeof b->head);
+    memset(b->fill, BUCKET_CHUNK, sizeof b->fill);
+}
+
+/* Put p in the bucket of the window of `at`, p's next odd multiple on the
+ * grid. */
+static inline void
+bucket_put(buckets *b, u64 p, u64 at)
+{
+    unsigned s = (unsigned)(at >> WINDOW_BITS) & (BUCKET_RING - 1);
+    if (b->fill[s] == BUCKET_CHUNK) {
+        uint32_t chunk = b->free ? b->free : b->fresh++;
+        if (chunk == b->free)
+            b->free = b->pool[chunk].next;
+        b->pool[chunk].next = b->head[s];
+        b->head[s] = chunk;
+        b->fill[s] = 0;
+    }
+    uint32_t word = (uint32_t)(p << WINDOW_BITS | (at & (SIEVE_WINDOW - 1)));
+    b->pool[b->head[s]].word[b->fill[s]++] = word;
+}
+
+/* Put the sieve primes from *count on, up to root, in the buckets of their
+ * first odd multiples at or after the odd index x < 2^40.  The odd
+ * multiples of p have the odd indices p t + h, h = (p - 1) / 2, and the
+ * least at or after x has t = floor((x + h) / p).  That quotient is taken
+ * in double precision, with no integer division: x + h < 2^53 and p are
+ * exact, and a rounded quotient is within 2^-25 of the true one, never
+ * below it, so its integer part is t or t + 1, and one step puts it
+ * right.  A 64-bit division per prime read 2.5x slower. */
+static void
+buckets_add(buckets *b, int *count, u64 root, u64 x)
+{
+    u64 p = b->last;
+    int j = *count, end = root <= SMALL_BOUND ? SMALL_PRIMES : LARGE_PRIMES;
+    for (; j < end; j++) {
+        u64 next = j < SMALL_PRIMES ? sieve_primes[j] : p + 2 * (u64)large_gaps[j - SMALL_PRIMES];
+        if (next > root)
+            break;
+        p = next;
+        /* signed conversions: SSE2 has no unsigned ones */
+        u64 h = p / 2, t = (u64)(int64_t)((double)(int64_t)(x + h) / (double)(int64_t)p);
+        u64 at = t * p + h;
+        at -= (at >= x + p ? p : 0) + b->origin;
+        bucket_put(b, p, at);
+    }
+    *count = j;
+    b->last = p;
+}
+
+/* Mark SMALL_FACTOR on each odd n of the window of `width` odd n at the odd
+ * index x that a prime in the buckets divides, and move each such prime on
+ * to the bucket of its next odd multiple.  A window on the grid empties
+ * one bucket; another one, as after a call of an odd size, empties the two
+ * it meets and puts back the words past its end. */
+static void
+buckets_sieve(buckets *b, u64 x, unsigned width, unsigned char *flags)
+{
+    u64 a = x - b->origin, end = a + width;
+    for (u64 c = a >> WINDOW_BITS; c << WINDOW_BITS < end; c++) {
+        unsigned s = (unsigned)c & (BUCKET_RING - 1), words = b->fill[s];
+        uint32_t chunk = b->head[s];
+        b->head[s] = 0;
+        b->fill[s] = BUCKET_CHUNK;
+        while (chunk) {
+            for (unsigned i = 0; i < words; i++) {
+                uint32_t word = b->pool[chunk].word[i];
+                u64 p = word >> WINDOW_BITS, at = c << WINDOW_BITS | (word & (SIEVE_WINDOW - 1));
+                if (at >= end) {
+                    bucket_put(b, p, at);
+                    continue;
+                }
+                flags[at - a] |= SMALL_FACTOR;
+                bucket_put(b, p, at + p);
+            }
+            uint32_t next = b->pool[chunk].next;
+            b->pool[chunk].next = b->free;
+            b->free = chunk;
+            chunk = next;
+            words = BUCKET_CHUNK;
+        }
+    }
+}
 
 /* Mark the odd n = w0 + 2i, i < width, with each odd multiple m of the
  * first `ranked` sieve primes, by their ranks: RANK_NDIV_MINUS where
  * w(p) does not divide m - 1, RANK_NDIV_PLUS where it does not divide
- * m + 1; and of the first `small` with SMALL_FACTOR.  A prime of rank 0
+ * m + 1; and of the first `small` with SMALL_FACTOR, and, with buckets b,
+ * of the larger primes up to root too.  A prime of rank 0
  * marks nothing, in this window or any later one of its test: the gates
  * skip every multiple of it, so a tested composite n still has its least
  * factor marked.  m's offset and m mod w(p) step with m, with no division
  * per mark, and carry over to the next window. */
 static void
-sieve_window(const test_key *key, const unsigned short *rank, int ranked, int small, u64 w0,
-             unsigned width, unsigned char *flags)
+sieve_window(const test_key *key, const unsigned short *rank, int ranked, int small, u64 root,
+             buckets *b, u64 w0, unsigned width, unsigned char *flags)
 {
     int used = ranked > small ? ranked : small, j = 0;
-    if (carry.next == w0 && memcmp(&carry.key, key, sizeof *key) == 0)
+    int same = carry.next == w0 && memcmp(&carry.key, key, sizeof *key) == 0;
+    if (same)
         j = carry.primes < used ? carry.primes : used;
     else
         carry.key = *key;
@@ -850,6 +1044,16 @@ sieve_window(const test_key *key, const unsigned short *rank, int ranked, int sm
                 flags[i] |= mark;
         }
         carry.off[j] = (unsigned short)(i - width);
+    }
+    if (b) {
+        if (!same || carry.large == 0) {
+            buckets_empty(b, w0 >> 1);
+            carry.large = RANK_PRIMES;
+        }
+        buckets_add(b, &carry.large, root, w0 >> 1);
+        buckets_sieve(b, w0 >> 1, width, flags);
+    } else {
+        carry.large = 0;
     }
     carry.next = w0 + 2 * (u64)width;
     carry.primes = used;
@@ -922,9 +1126,11 @@ add_skip(PyObject *skips, u64 n, int code, u64 factor)
 
 /* Decide the first `used` lanes of g, in n order, and pad the rest with
  * copies of lane 0: count each prime and each detected composite, and
- * add each pseudoprime to hit[*hits]. */
+ * add each pseudoprime to hit[*hits].  In an exact call (root != 0) a
+ * lane has a prime factor up to root, so an n above root is composite,
+ * with no Miller-Rabin. */
 static void
-decide_group(group *g, int used, int strong, u64 *hit, unsigned *hits,
+decide_group(group *g, int used, int strong, u64 root, u64 *hit, unsigned *hits,
              unsigned long long *primes, unsigned long long *detected)
 {
     u64 v[LANES], v1[LANES];
@@ -943,7 +1149,7 @@ decide_group(group *g, int used, int strong, u64 *hit, unsigned *hits,
          * U_k = 0, so only then can n be prime */
         if (addmod(v1[l], v1[l], n) != mont_mul(g->p[l], v[l], m))
             (*detected)++;
-        else if (is_prime_mont(m, 0))
+        else if ((root == 0 || n <= root) && is_prime_mont(m, 0))
             (*primes)++;
         else if (!strong || v[l] == addmod(m->one, m->one, n))
             hit[(*hits)++] = n;
@@ -1036,9 +1242,15 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
      * make the call exact */
     if (sieve_primes[0] == 0)
         init_sieve_primes();
-    int exact = hi < (u64)SMALL_BOUND * SMALL_BOUND;
-    int ranked = primes_upto(hi / 3, RANK_PRIMES);
-    int small = exact ? primes_upto(isqrt(hi), SMALL_PRIMES) : 0;
+    u64 root = hi < (u64)LARGE_BOUND * LARGE_BOUND ? isqrt(hi) : 0;
+    int ranked = primes_upto(hi / 3, RANK_PRIMES), small = primes_upto(root, RANK_PRIMES);
+    /* the primes above RANK_BOUND up to root go in the thread's buckets,
+     * those above SMALL_BOUND from the large gaps */
+    buckets *b = NULL;
+    if (root > SMALL_BOUND && !large_gaps_set && init_large_gaps() < 0)
+        goto done;
+    if (root > RANK_BOUND && (b = thread_buckets()) == NULL)
+        goto done;
     test_key key = {lucas, seed, {par[0], par[1], par[2]}};
     unsigned short rank[RANK_PRIMES];  /* a copy: the memo is safe only under the GIL */
     memcpy(rank, test_ranks(&key, c, conic, ranked), (size_t)ranked * sizeof *rank);
@@ -1094,8 +1306,8 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         unsigned char flags[SIEVE_WINDOW];
         group grp;
         int used = 0;  /* the lanes of grp filled so far */
-        sieve_window(&key, rank, ranked, small, first + 2 * start, (unsigned)(end - start),
-                     flags);
+        sieve_window(&key, rank, ranked, small, root, b, first + 2 * start,
+                     (unsigned)(end - start), flags);
         for (unsigned j = 0; j < tested; j++) {
             unsigned bits = flags[test[j] >> 1], plus = test[j] & 1;
             u64 n = first + 2 * (start + (test[j] >> 1)), p, q;
@@ -1104,7 +1316,7 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 detected++;
                 continue;
             }
-            if (exact && !(bits & SMALL_FACTOR)) {
+            if (root && !(bits & SMALL_FACTOR)) {
                 primes++;
                 continue;
             }
@@ -1115,12 +1327,12 @@ scan(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             grp.q[used] = to_mont(q, &grp.m[used]);
             grp.k[used] = plus ? n - 1 : n + 1;
             if (++used == LANES) {
-                decide_group(&grp, used, strong, hit, &window_hits, &primes, &detected);
+                decide_group(&grp, used, strong, root, hit, &window_hits, &primes, &detected);
                 used = 0;
             }
         }
         if (used > 0)
-            decide_group(&grp, used, strong, hit, &window_hits, &primes, &detected);
+            decide_group(&grp, used, strong, root, hit, &window_hits, &primes, &detected);
         Py_END_ALLOW_THREADS
         for (unsigned j = 0; j < window_hits; j++) {
             PyObject *item = PyLong_FromUnsignedLongLong(hit[j]);
@@ -1272,6 +1484,12 @@ load_skip(void)
 PyMODINIT_FUNC
 PyInit__kernels_c(void)
 {
+    static int key_made;
+    if (!key_made && pthread_key_create(&buckets_key, free) != 0) {
+        PyErr_SetString(PyExc_OSError, "no thread-specific key for the sieve's buckets");
+        return NULL;
+    }
+    key_made = 1;
     if (load_skip() < 0)
         return NULL;
     PyObject *m = PyModule_Create(&module);

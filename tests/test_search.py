@@ -601,24 +601,32 @@ def test_scan_short_ranges(odd_count):
                     assert backend_scan(name, kind, strong, params, lo, hi) == expected, name
 
 
-# Below 2^32 the compiled scan counts an n with no factor up to isqrt(hi)
+# Below 2^40 the compiled scan counts an n with no factor up to isqrt(hi)
 # as prime.  512^2 was the bound of a narrower sieve, and 521^2, the least
 # odd composite with no factor below 512, needs 521.  Then calls that end
-# at 2^32 - 1 and 2^32 + 1 and one across 2^32; 65519 is the largest prime
-# up to isqrt(65519 * 65521) = 65519, and 65521 the largest below 2^16,
-# the least factor of 65521 * 65537 < 2^32; 65537^2 is the least odd
-# composite with no factor below 2^16.  Last, composites whose least
-# factor is 4093, the largest of the rank primes below 2^12, or 4099, the
-# first prime above: below 2^32 their small factor marks them too, above
-# only the rank of 4093.
+# at 2^32 - 1 and 2^32 + 1 and one across 2^32, where a narrower exact
+# sieve stopped; 65519 is the largest prime up to isqrt(65519 * 65521) =
+# 65519, and 65521 the largest below 2^16, the least factor of
+# 65521 * 65537 < 2^32; 65537^2 is the least odd composite with no factor
+# below 2^16.  Composites whose least factor is 4093, the largest of the
+# rank primes below 2^12, or 4099, the first prime above, which waits in
+# the buckets.  Then the same at 2^40: calls that end at 2^40 - 1 and
+# 2^40 + 1 and one across 2^40; 1048571 * 1048573 < 2^40, the two largest
+# primes below 2^20, and 1048573^2 < 2^40; 1048583^2 > 2^40, the least odd
+# composite with no factor below 2^20.  Last, composites near 10^12 whose
+# least factor is 65521, the last prime held in 16 bits, or 65537, the
+# first past it.
 EXACT_SIEVE_EDGES = [(512**2 - 401, 512**2 - 1), (512**2 - 399, 512**2 + 1),
                      (521**2 - 200, 521**2 + 200), (2**32 - 401, 2**32 - 1),
                      (2**32 - 399, 2**32 + 1), (2**32 - 2001, 2**32 + 2001),
-                     (65537**2 - 200, 65537**2 + 200)]
-EXACT_SIEVE_EDGES += [(n - 400, n) for n in (65519 * 65521, 65521 * 65537)]
+                     (65537**2 - 200, 65537**2 + 200), (2**40 - 401, 2**40 - 1),
+                     (2**40 - 399, 2**40 + 1), (2**40 - 2001, 2**40 + 2001)]
+EXACT_SIEVE_EDGES += [(n - 400, n) for n in (65519 * 65521, 65521 * 65537, 1048571 * 1048573)]
 EXACT_SIEVE_EDGES += [(n - 300, n + 300) for n in (65519 * 65521, 65521 * 65537, 4093**2,
                                                     4093 * 4099, 4099**2, 4093 * 1049387,
-                                                    4099 * 1047821)]
+                                                    4099 * 1047821, 1048571 * 1048573,
+                                                    1048573**2, 1048583**2, 65521 * 15262283,
+                                                    65537 * 15258557)]
 
 
 @pytest.mark.parametrize("lo, hi", EXACT_SIEVE_EDGES)
@@ -714,6 +722,16 @@ CALL_SEQUENCES = {
     # passes it between these blocks, which must still agree
     "a rank-0 prime entering the small factors": [
         ("lucas", LucasParams(3, 1009), False, lo, hi) for lo, hi in blocks(1009**2 - 4095, 4)],
+    # at 10^12 the primes above 2^12 up to 10^6 wait in buckets, each for
+    # the block of its next odd multiple, and carry over with the rest
+    "consecutive blocks at 10^12": [(*L3, False, lo, hi) for lo, hi in blocks(10**12 + 1, 6)],
+    "a gap at 10^12": [(*SEED64, False, lo, hi) for lo, hi in blocks(10**12 + 1, 7)[::3]],
+    "a step backwards at 10^12": [(*L3, False, lo, hi) for lo, hi in blocks(10**12 + 1, 4)[::-1]],
+    "two searches taking turns at 10^12": [(*(L3, SEED64)[i % 2], False, lo, hi)
+                                           for i, (lo, hi) in enumerate(blocks(10**12 + 1, 6))],
+    # the exact calls below 2^40, then calls past it, which keep no buckets
+    "consecutive blocks across 2^40": [(*L3, False, lo, hi)
+                                       for lo, hi in blocks(2**40 - 3 * 2048, 5)],
 }
 
 
